@@ -4,7 +4,7 @@ Subcommands take a family letter and rank, with theta given either
 inclusively (--theta) or by complement (--theta-complement); indices are
 1-based on the command line.  Reports are emitted as text, JSON, or TSV with
 identical numeric content.  Exit codes: 0 success, 1 internal cross-check
-failure, 2 usage error.
+failure, 2 usage error or a job outside the computable range.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from . import __version__
 from .coeffs import kappa_report
 from .homology import (
-    RING_Z,
-    RING_Z2,
+    SignIndeterminateError,
     build_complex,
     h1_h2_closed_form,
     homology_groups,
@@ -26,10 +25,10 @@ from .homology import (
     orientable_via_topcell,
     poincare_mod2,
 )
-from .rootsys import height, root_system
-from .weyl import WeylGroup
+from .rootsys import RANK_BOUNDS, height, root_system
+from .weyl import GroupTooLargeError, WeylGroup
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 class CrossCheckError(Exception):
@@ -45,7 +44,6 @@ class JobSpec:
     max_degree: int
     ring: str
     output_format: str
-    seed: int
 
     def as_dict(self) -> dict:
         return {
@@ -56,7 +54,6 @@ class JobSpec:
             "max_degree": self.max_degree,
             "ring": self.ring,
             "format": self.output_format,
-            "seed": self.seed,
         }
 
 
@@ -95,14 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-degree", type=int, default=3)
         p.add_argument("--ring", choices=["z", "z2"], default="z")
         p.add_argument("--format", choices=["text", "json", "tsv"], default="text")
-        p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def jobspec_from_args(args: argparse.Namespace) -> JobSpec:
     rank = args.rank
-    if rank < 1:
-        raise ValueError("rank must be positive")
+    lo, hi = RANK_BOUNDS[args.family]
+    if not lo <= rank <= (hi or rank):
+        raise ValueError(f"rank {rank} out of range for family {args.family}")
     if args.theta is not None:
         theta = frozenset(i - 1 for i in args.theta)
     elif args.theta_complement is not None:
@@ -113,15 +110,16 @@ def jobspec_from_args(args: argparse.Namespace) -> JobSpec:
         raise ValueError("theta indices must lie in [1, rank]")
     if args.max_degree < 0:
         raise ValueError("max-degree must be >= 0")
+    if args.command == "homology" and args.ring == "z" and args.max_degree < 1:
+        raise ValueError("homology needs --max-degree >= 1")
     return JobSpec(
         command=args.command,
         family=args.family,
         rank=rank,
         theta=theta,
         max_degree=args.max_degree,
-        ring=RING_Z if args.ring == "z" else RING_Z2,
+        ring=args.ring.upper(),
         output_format=args.format,
-        seed=args.seed,
     )
 
 
@@ -142,8 +140,6 @@ def _cell_out(w) -> dict:
 def report_roots(job: JobSpec) -> dict:
     system = root_system(job.family, job.rank)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "job": job.as_dict(),
         "roots": [
             {
                 "coeffs": list(r),
@@ -160,8 +156,6 @@ def report_weyl(job: JobSpec) -> dict:
     group = WeylGroup(root_system(job.family, job.rank))
     reps = group.minimal_representatives(job.theta)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "job": job.as_dict(),
         "order": len(group.elements),
         "cells": [_cell_out(w) for w in reps],
     }
@@ -197,35 +191,27 @@ def report_coeffs(job: JobSpec) -> dict:
                     "sign": rep.sign,
                 }
             )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "job": job.as_dict(),
-        "covering_pairs": pairs,
-    }
+    return {"covering_pairs": pairs}
 
 
 def report_homology(job: JobSpec) -> dict:
     group = WeylGroup(root_system(job.family, job.rank))
-    out: dict = {"schema_version": SCHEMA_VERSION, "job": job.as_dict()}
-    if job.ring == RING_Z2:
+    if job.ring == "Z2":
         betti = poincare_mod2(group, job.theta)
-        out["mod2_betti"] = betti
-        out["homology"] = [
-            {"degree": k, "mod2_dim": b} for k, b in enumerate(betti)
-        ]
-        return out
-    complex_ = build_complex(
-        group, job.theta, job.max_degree, RING_Z, allow_indeterminate_rows=True
-    )
+        return {
+            "mod2_betti": betti,
+            "homology": [{"degree": k, "mod2_dim": b} for k, b in enumerate(betti)],
+        }
+    complex_ = build_complex(group, job.theta, job.max_degree)
     groups = homology_groups(complex_, job.max_degree - 1)
-    out["cells"] = [
-        _cell_out(w) for k in sorted(complex_.cells) for w in complex_.cells[k]
-    ]
-    out["matrices"] = {str(k): complex_.boundaries[k] for k in complex_.boundaries}
-    out["homology"] = [
-        {"degree": k, "free_rank": h.free_rank, "torsion": list(h.torsion)}
-        for k, h in enumerate(groups)
-    ]
+    out = {
+        "cells": [_cell_out(w) for k in sorted(complex_.cells) for w in complex_.cells[k]],
+        "matrices": {str(k): complex_.boundaries[k] for k in complex_.boundaries},
+        "homology": [
+            {"degree": k, "free_rank": h.free_rank, "torsion": list(h.torsion)}
+            for k, h in enumerate(groups)
+        ],
+    }
     if job.family == "A":
         n = job.rank + 1
         h1, h2 = h1_h2_closed_form(n, job.theta) if n >= 3 else (None, None)
@@ -249,23 +235,24 @@ def report_homology(job: JobSpec) -> dict:
     return out
 
 
+def _orientable_typeA_checked(n: int, theta: frozenset[int], top_cell: bool) -> bool:
+    """The type A parity criterion, which must agree with the top-cell route."""
+    criterion = orientable_typeA(n, theta)
+    if criterion != top_cell:
+        raise CrossCheckError(
+            f"orientability criteria disagree for theta={_word_out(sorted(theta))}"
+        )
+    return criterion
+
+
 def report_orientability(job: JobSpec) -> dict:
     group = WeylGroup(root_system(job.family, job.rank))
     top_cell = orientable_via_topcell(group, job.theta)
-    out: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "job": job.as_dict(),
-        "orientable": {"top_cell": top_cell},
-    }
+    orientable: dict = {"top_cell": top_cell}
     if job.family == "A":
-        criterion = orientable_typeA(job.rank + 1, job.theta)
-        agree = criterion == top_cell
-        out["orientable"].update({"criterion": criterion, "agree": agree})
-        if not agree:
-            raise CrossCheckError(
-                f"orientability criteria disagree for theta={sorted(job.theta)}"
-            )
-    return out
+        criterion = _orientable_typeA_checked(job.rank + 1, job.theta, top_cell)
+        orientable.update({"criterion": criterion, "agree": True})
+    return {"orientable": orientable}
 
 
 def report_sweep(job: JobSpec) -> dict:
@@ -282,11 +269,7 @@ def report_sweep(job: JobSpec) -> dict:
                 "orientable": orientable_via_topcell(group, theta),
             }
             if job.family == "A":
-                criterion = orientable_typeA(n, theta)
-                if criterion != row["orientable"]:
-                    raise CrossCheckError(
-                        f"orientability criteria disagree for theta={sorted(theta)}"
-                    )
+                _orientable_typeA_checked(n, theta, row["orientable"])
                 if n >= 3:
                     h1, h2 = h1_h2_closed_form(n, theta)
                     row["h1_torsion_rank"] = len(h1.torsion)
@@ -295,11 +278,7 @@ def report_sweep(job: JobSpec) -> dict:
             else:
                 row["mod2_betti"] = poincare_mod2(group, theta)
             rows.append(row)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "job": job.as_dict(),
-        "sweep": rows,
-    }
+    return {"sweep": rows}
 
 
 REPORTERS = {
@@ -367,10 +346,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.exit(2, f"flaghom: error: {exc}\n")
     try:
-        report = REPORTERS[job.command](job)
-    except CrossCheckError as exc:
+        body = REPORTERS[job.command](job)
+    except (SignIndeterminateError, GroupTooLargeError) as exc:
+        parser.exit(2, f"flaghom: error: {exc}\n")
+    except (CrossCheckError, AssertionError) as exc:
         print(f"flaghom: cross-check failure: {exc}", file=sys.stderr)
         return 1
+    report = {"schema_version": SCHEMA_VERSION, "job": job.as_dict(), **body}
     print(render(report, job.output_format))
     return 0
 

@@ -12,25 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootsys import Coeffs, RootSystem, height, root_system
+from .rootsys import Coeffs, height, root_system
 from .weyl import CoveringPair, WeylGroup
-
-SIGN_POLICY_EQUAL_WORDS = "equal-words"
-SIGN_POLICY_NONE = "none"
 
 
 class RouteDisagreementError(AssertionError):
     """Two mathematically equal kappa routes produced different values."""
 
 
-def _require_split(system: RootSystem) -> None:
-    if any(m != 1 for m in system.root_multiplicity.values()):
-        raise ValueError("height formula requires split form")
-
-
 def kappa_via_height(group: WeylGroup, pair: CoveringPair) -> int:
     """kappa = height of gamma's coroot in the dual root system."""
-    _require_split(group.system)
     return group.system.coroot_height(pair.gamma)
 
 
@@ -42,7 +33,7 @@ def kappa_via_sigma(group: WeylGroup, pair: CoveringPair) -> int:
     i_deleted = word[pair.deleted_index - 1]
     suffix = word[pair.deleted_index :]
     sigma = sum(
-        system.killing_number(i_deleted, delta) * system.multiplicity(delta)
+        system.killing_number(i_deleted, delta)
         for delta in group.inversion_set_of_word(suffix)
     )
     return 1 - sigma
@@ -50,16 +41,11 @@ def kappa_via_sigma(group: WeylGroup, pair: CoveringPair) -> int:
 
 def kappa_via_phi(group: WeylGroup, pair: CoveringPair) -> int:
     """kappa from phi(w) - phi(w') = kappa * beta, phi summing the inversion set."""
-    system = group.system
-    n = system.rank
+    n = group.system.rank
 
     def phi(word: tuple[int, ...]) -> list[int]:
-        total = [0] * n
-        for delta in group.inversion_set_of_word(word):
-            m = system.multiplicity(delta)
-            for k in range(n):
-                total[k] += m * delta[k]
-        return total
+        inversions = group.inversion_set_of_word(word)
+        return [sum(delta[k] for delta in inversions) for k in range(n)]
 
     diff = [a - b for a, b in zip(phi(pair.w.word), phi(pair.w_prime.word))]
     beta = pair.beta
@@ -79,7 +65,6 @@ def kappa_via_phi(group: WeylGroup, pair: CoveringPair) -> int:
 
 
 _DUAL_FAMILY = {"B": "C", "C": "B", "F": "F", "G": "G"}
-_dual_system_cache: dict[tuple[str, int], RootSystem] = {}
 
 
 def kappa_via_dual_height_remarks(group: WeylGroup, pair: CoveringPair) -> int:
@@ -99,10 +84,7 @@ def kappa_via_dual_height_remarks(group: WeylGroup, pair: CoveringPair) -> int:
         image: Coeffs = tuple(reversed(dual_coeffs))
         target = system
     else:
-        key = (_DUAL_FAMILY[family], system.rank)
-        if key not in _dual_system_cache:
-            _dual_system_cache[key] = root_system(*key)
-        target = _dual_system_cache[key]
+        target = root_system(_DUAL_FAMILY[family], system.rank)
         image = dual_coeffs
     if not target.is_root(image):
         raise AssertionError("transported root is not a root of the dual system")
@@ -133,11 +115,7 @@ class KappaReport:
         return None if self.sign is None else self.sign * self.magnitude
 
 
-def coefficient(
-    group: WeylGroup,
-    pair: CoveringPair,
-    sign_policy: str = SIGN_POLICY_EQUAL_WORDS,
-) -> tuple[int, int | None]:
+def coefficient(group: WeylGroup, pair: CoveringPair) -> tuple[int, int | None]:
     """(magnitude, sign) of c(w, w').
 
     Magnitude is 0 or 2 from kappa's parity (height and sigma routes are both
@@ -154,7 +132,7 @@ def coefficient(
         )
     magnitude = 0 if kh % 2 else 2
     sign: int | None = None
-    if magnitude and sign_policy == SIGN_POLICY_EQUAL_WORDS:
+    if magnitude:
         word = pair.w.word
         deleted = word[: pair.deleted_index - 1] + word[pair.deleted_index :]
         if deleted == pair.w_prime.word:
@@ -162,11 +140,7 @@ def coefficient(
     return magnitude, sign
 
 
-def kappa_report(
-    group: WeylGroup,
-    pair: CoveringPair,
-    sign_policy: str = SIGN_POLICY_EQUAL_WORDS,
-) -> KappaReport:
+def kappa_report(group: WeylGroup, pair: CoveringPair) -> KappaReport:
     """Evaluate every applicable route; hard-fail on any disagreement."""
     kh = kappa_via_height(group, pair)
     ks = kappa_via_sigma(group, pair)
@@ -184,6 +158,6 @@ def kappa_report(
     if group.system.family in _DUAL_FAMILY:
         values.add(kappa_via_dual_height_remarks(group, pair))
     if len(values) != 1:
-        raise RouteDisagreementError(f"kappa routes disagree on {pair}: {values}")
-    magnitude, sign = coefficient(group, pair, sign_policy)
+        raise RouteDisagreementError(f"kappa routes disagree on {pair}: {sorted(values)}")
+    magnitude, sign = coefficient(group, pair)
     return KappaReport(pair, kh, ks, kp, ka, magnitude, sign)

@@ -1,9 +1,10 @@
 """Cellular chain complexes of partial flag manifolds and their homology.
 
 Cells in degree k are the minimal coset representatives of length k; the
-boundary entries come from the coefficient engine.  Integral complexes are
-only assembled where every even-kappa entry has a sign fixed by the low-degree table,
-which in type A reaches degree 3 and hence H_1 and H_2.
+boundary entries come from the coefficient engine.  Rows the low-degree sign
+table cannot sign are zeroed, and `homology_groups` certifies every degree
+that depends on them; in type A the table reaches degree 3, hence H_1 and H_2.
+Every entry is 0 or +-2, so `poincare_mod2` reads mod-2 homology off W^Theta.
 """
 
 from __future__ import annotations
@@ -11,16 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .coeffs import SIGN_POLICY_EQUAL_WORDS, coefficient
-from .rootsys import RootSystem
+from .coeffs import coefficient
+from .rootsys import RootSystem, root_system
 from .weyl import WeylElement, WeylGroup
-
-RING_Z = "Z"
-RING_Z2 = "Z2"
 
 
 class SignIndeterminateError(ValueError):
-    """An integral boundary entry is +-2 but its sign is not determined."""
+    """A homology degree depends on boundary rows with undetermined signs."""
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,6 @@ class HomologyGroup:
 class ChainComplex:
     system: RootSystem
     theta: frozenset[int]
-    ring: str
     cells: dict[int, list[WeylElement]]
     boundaries: dict[int, list[list[int]]]  # rows: k-cells, cols: (k-1)-cells
     max_degree: int
@@ -45,26 +42,16 @@ class ChainComplex:
 
 
 def build_complex(
-    group: WeylGroup,
-    theta: frozenset[int] | set[int],
-    max_degree: int,
-    ring: str = RING_Z,
-    sign_policy: str = SIGN_POLICY_EQUAL_WORDS,
-    allow_indeterminate_rows: bool = False,
+    group: WeylGroup, theta: frozenset[int] | set[int], max_degree: int
 ) -> ChainComplex:
-    """Assemble boundary matrices on W^Theta through the given degree.
+    """Assemble integral boundary matrices on W^Theta through the given degree.
 
-    Verifies d o d = 0 on construction.  Over Z2 every coefficient is even,
-    so the matrices are identically zero; over Z an undetermined sign on a
-    magnitude-2 entry raises SignIndeterminateError, unless
-    ``allow_indeterminate_rows`` is set, in which case the whole row is
-    zeroed and recorded.  Every boundary row has even entries and lies in
-    the kernel of the next boundary map, so a zeroed row can only remove
-    redundant image; `homology_groups` re-verifies that before trusting a
-    degree that depends on such a matrix.
+    Verifies d o d = 0 on construction.  A row with a magnitude-2 entry whose
+    sign is undetermined is zeroed whole and recorded.  Every boundary row
+    has even entries and lies in the kernel of the next boundary map, so a
+    zeroed row can only remove redundant image; `homology_groups` re-verifies
+    that before trusting a degree that depends on such a matrix.
     """
-    if ring not in (RING_Z, RING_Z2):
-        raise ValueError(f"unknown ring {ring!r}")
     theta = frozenset(theta)
     reps = group.minimal_representatives(theta)
     cells: dict[int, list[WeylElement]] = {k: [] for k in range(max_degree + 1)}
@@ -83,34 +70,23 @@ def build_complex(
         zeroed: list[int] = []
         for row_i, w in enumerate(cells[k]):
             row = [0] * len(cells[k - 1])
-            undetermined = False
             for pair in group.bruhat_covers(w):
                 if pair.w_prime.matrix not in cell_set:
                     continue
-                magnitude, sign = coefficient(group, pair, sign_policy)
-                if ring == RING_Z2 or magnitude == 0:
-                    entry = 0
-                elif sign is None:
-                    if not allow_indeterminate_rows:
-                        raise SignIndeterminateError(
-                            "sign-indeterminate pair "
-                            f"({pair.w.word}, {pair.w_prime.word})"
-                        )
-                    undetermined = True
+                magnitude, sign = coefficient(group, pair)
+                if magnitude and sign is None:
+                    row = [0] * len(cells[k - 1])
+                    zeroed.append(row_i)
                     break
-                else:
-                    entry = sign * magnitude
-                row[index[k - 1][pair.w_prime.matrix]] = entry
-            if undetermined:
-                row = [0] * len(cells[k - 1])
-                zeroed.append(row_i)
+                if magnitude:
+                    row[index[k - 1][pair.w_prime.matrix]] = sign * magnitude
             rows.append(row)
         boundaries[k] = rows
         if zeroed:
             indeterminate[k] = zeroed
 
     complex_ = ChainComplex(
-        group.system, theta, ring, cells, boundaries, max_degree, indeterminate
+        group.system, theta, cells, boundaries, max_degree, indeterminate
     )
     _assert_d_squared_zero(complex_)
     return complex_
@@ -123,7 +99,7 @@ def _assert_d_squared_zero(complex_: ChainComplex) -> None:
             n_out = len(b[0]) if b else 0
             for j in range(n_out):
                 if sum(row[i] * b[i][j] for i in range(len(row))):
-                    raise AssertionError("boundary of boundary is nonzero")
+                    raise AssertionError(f"boundary of boundary is nonzero in degree {k}")
 
 
 def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], int]:
@@ -208,13 +184,11 @@ def homology_groups(complex_: ChainComplex, up_to_degree: int) -> list[HomologyG
     """
     if complex_.max_degree < up_to_degree + 1:
         raise ValueError("complex not built deep enough")
-    if complex_.ring != RING_Z:
-        raise ValueError("integral homology needs a Z complex")
     out = []
     for k in range(up_to_degree + 1):
         if k in complex_.indeterminate_rows:
             raise SignIndeterminateError(
-                f"boundary in degree {k} has sign-indeterminate rows"
+                f"cannot compute H_{k}: degree {k} has sign-indeterminate rows"
             )
         n_k = len(complex_.cells[k])
         rank_k = smith_normal_form(complex_.boundaries[k])[1] if k >= 1 else 0
@@ -230,11 +204,6 @@ def homology_groups(complex_: ChainComplex, up_to_degree: int) -> list[HomologyG
         torsion = tuple(f for f in factors_k1 if f > 1)
         out.append(HomologyGroup(free, torsion))
     return out
-
-
-def mod2_betti(group: WeylGroup, theta: frozenset[int] | set[int]) -> list[int]:
-    """dim H_k(F_Theta, Z/2) = number of length-k minimal representatives."""
-    return poincare_mod2(group, theta)
 
 
 def poincare_mod2(group: WeylGroup, theta: frozenset[int] | set[int]) -> list[int]:
@@ -289,21 +258,9 @@ def h1_h2_closed_form(
     h1 = HomologyGroup(0, (2,) * (n - len(theta) - 1))
     if n < 4:
         return h1, None
-    system = _type_a_system(n)
-    r = theta_components(system, theta)
+    r = theta_components(root_system("A", n - 1), theta)
     exponent = comb(n - len(theta) - 1, 2) + r - 1
     return h1, HomologyGroup(0, (2,) * exponent)
-
-
-_type_a_cache: dict[int, RootSystem] = {}
-
-
-def _type_a_system(n: int) -> RootSystem:
-    from .rootsys import root_system
-
-    if n not in _type_a_cache:
-        _type_a_cache[n] = root_system("A", n - 1)
-    return _type_a_cache[n]
 
 
 def orientable_typeA(n: int, theta: frozenset[int] | set[int]) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 
 Coeffs = tuple[int, ...]
@@ -183,12 +184,11 @@ def _minimal_symmetrizer(C: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Table of positive roots, coroot coefficients, and multiplicities."""
+    """Table of positive roots and their coroot coefficients."""
 
     cartan: CartanData
     positive_roots: tuple[Coeffs, ...]
     coroot_coeffs: dict[Coeffs, Coeffs] = field(repr=False)
-    root_multiplicity: dict[Coeffs, int] = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -203,11 +203,6 @@ class RootSystem:
 
     def is_root(self, root: Coeffs) -> bool:
         return root in self.coroot_coeffs or negate(root) in self.coroot_coeffs
-
-    def multiplicity(self, root: Coeffs) -> int:
-        if is_negative(root):
-            root = negate(root)
-        return self.root_multiplicity[root]
 
     def killing_number(self, i: int, beta: Coeffs) -> int:
         """Pairing of the i-th simple coroot with an arbitrary vector."""
@@ -308,10 +303,10 @@ def build_root_system(cartan: CartanData) -> RootSystem:
                 raise AssertionError("coroot coefficient is not integral")
             dual.append(num // norm)
         coroots[root] = tuple(dual)
-    mult = {root: 1 for root in ordered}
-    return RootSystem(cartan, ordered, coroots, mult)
+    return RootSystem(cartan, ordered, coroots)
 
 
+@lru_cache(maxsize=None)
 def root_system(family: str, rank: int) -> RootSystem:
-    """Convenience constructor from (family, rank)."""
+    """Convenience constructor from (family, rank), built once per process."""
     return build_root_system(CartanData.for_family(family, rank))

@@ -65,6 +65,12 @@ class CoveringPair:
     beta: Coeffs
     gamma: Coeffs
 
+    def __str__(self) -> str:
+        """The pair as the CLI names it: 1-based words and I."""
+        w = [i + 1 for i in self.w.word]
+        w_prime = [i + 1 for i in self.w_prime.word]
+        return f"w={w} w'={w_prime} I={self.deleted_index}"
+
 
 class WeylGroup:
     """Enumerated Weyl group (optionally truncated by length) of a root system."""
@@ -117,7 +123,7 @@ class WeylGroup:
                             seen[m2] = self._left_mult(i, seen[m])  # inv of w*s_i
                             nxt.append(m2)
             if len(seen) > size_cap:
-                raise GroupTooLargeError("group too large")
+                raise GroupTooLargeError(f"group too large: more than {size_cap} elements")
             level = nxt
             levels.append(level)
             length += 1

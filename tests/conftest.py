@@ -4,10 +4,5 @@ from flaghom import WeylGroup, root_system
 
 
 @lru_cache(maxsize=None)
-def cached_system(family: str, rank: int):
-    return root_system(family, rank)
-
-
-@lru_cache(maxsize=None)
 def cached_group(family: str, rank: int, max_length: int | None = None):
-    return WeylGroup(cached_system(family, rank), max_length=max_length)
+    return WeylGroup(root_system(family, rank), max_length=max_length)

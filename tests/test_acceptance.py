@@ -23,9 +23,10 @@ from flaghom import (
     orientable_typeA,
     orientable_via_topcell,
     poincare_mod2,
+    root_system,
 )
 
-from conftest import cached_group, cached_system
+from conftest import cached_group
 
 
 def _verdict(number, name, body):
@@ -125,7 +126,7 @@ def test_criterion_4_h1_closed_form():
         for n in (3, 4, 5, 6):
             g = cached_group("A", n - 1)
             for theta in _subsets(n - 1):
-                c = build_complex(g, theta, 2, "Z", allow_indeterminate_rows=True)
+                c = build_complex(g, theta, 2)
                 h1 = homology_groups(c, 1)[1]
                 want, _ = h1_h2_closed_form(n, theta)
                 assert (h1.free_rank, h1.torsion) == (0, want.torsion)
@@ -138,7 +139,7 @@ def test_criterion_5_h2_closed_form():
         for n in (4, 5, 6):
             g = cached_group("A", n - 1)
             for theta in _subsets(n - 1):
-                c = build_complex(g, theta, 3, "Z", allow_indeterminate_rows=True)
+                c = build_complex(g, theta, 3)
                 h2 = homology_groups(c, 2)[2]
                 _, want = h1_h2_closed_form(n, theta)
                 assert h2.free_rank == 0
@@ -167,11 +168,13 @@ def test_criterion_7_mod2_structure():
             for w in g.elements:
                 full[w.length] += 1
             for theta in _subsets(rank):
-                c = build_complex(g, theta, 3, "Z2")
+                # every entry is 0 or +-2, so all boundaries vanish mod 2
+                c = build_complex(g, theta, 3)
                 assert all(
-                    all(x == 0 for x in row)
+                    x % 2 == 0
                     for rows in c.boundaries.values()
                     for row in rows
+                    for x in row
                 )
                 betti = poincare_mod2(g, theta)
                 # independent oracle: divide the full length generating
@@ -209,7 +212,7 @@ def test_criterion_8_complex_sanity():
         for n in (4, 5, 6):
             g = cached_group("A", n - 1)
             for theta in _subsets(n - 1):
-                c = build_complex(g, theta, 3, "Z", allow_indeterminate_rows=True)
+                c = build_complex(g, theta, 3)
                 for k in range(2, 4):
                     rows_k = c.boundaries[k]
                     rows_k1 = c.boundaries[k - 1]
@@ -234,7 +237,7 @@ def test_criterion_8_complex_sanity():
 def test_criterion_9_duality_routes():
     def body():
         for n in (2, 3):
-            b, c = cached_system("B", n), cached_system("C", n)
+            b, c = root_system("B", n), root_system("C", n)
             assert {b.coroot(r) for r in b.positive_roots} == set(c.positive_roots)
             assert {c.coroot(r) for r in c.positive_roots} == set(b.positive_roots)
         for family, rank, max_length in [("G", 2, None), ("F", 4, 4)]:

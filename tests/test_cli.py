@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from flaghom import WeylGroup
 from flaghom.cli import main
 
 
@@ -17,7 +18,7 @@ def test_roots_json(capsys):
     code, out = run_cli(capsys, "roots", "B", "2", "--format", "json")
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == "1"
+    assert report["schema_version"] == "2"
     assert report["job"]["family"] == "B"
     coeffs = {tuple(r["coeffs"]) for r in report["roots"]}
     assert coeffs == {(1, 0), (0, 1), (1, 1), (1, 2)}
@@ -131,6 +132,11 @@ def test_usage_errors_exit_2(capsys):
         main(["nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
+    for family, rank in [("D", "1"), ("E", "2"), ("G", "3")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", family, rank])
+        assert exc.value.code == 2
+        assert "out of range for family" in capsys.readouterr().err
 
 
 def test_theta_flags_are_exclusive(capsys):
@@ -138,6 +144,58 @@ def test_theta_flags_are_exclusive(capsys):
         main(["homology", "A", "3", "--theta", "1", "--theta-complement", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command", ["roots", "weyl", "coeffs", "homology", "orientability", "sweep"]
+)
+def test_every_command_family_and_format(capsys, command):
+    for family, rank in [("A", "2"), ("B", "2"), ("C", "3"), ("D", "4"), ("G", "2")]:
+        for output_format in ("text", "json", "tsv"):
+            assert main([command, family, rank, "--format", output_format]) == 0
+    capsys.readouterr()
+
+
+def _one_line_error(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize(
+    "max_degree, message",
+    [("0", "homology needs --max-degree >= 1"), ("5", "cannot compute H_3")],
+)
+def test_homology_degree_limits_exit_2(capsys, max_degree, message):
+    err = _one_line_error(capsys, ["homology", "A", "4", "--max-degree", max_degree], 2)
+    assert err.startswith("flaghom: error: ") and message in err
+
+
+def test_group_too_large_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("flaghom.cli.WeylGroup", lambda system: WeylGroup(system, size_cap=50))
+    err = _one_line_error(capsys, ["weyl", "A", "4"], 2)
+    assert err == "flaghom: error: group too large: more than 50 elements\n"
+
+
+def test_route_disagreement_exits_1_naming_the_pair(capsys, monkeypatch):
+    monkeypatch.setattr("flaghom.coeffs.kappa_via_sigma", lambda group, pair: -1)
+    assert main(["coeffs", "A", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "flaghom: cross-check failure: kappa routes disagree on "
+        "w=[1] w'=[] I=1: [-1, 1]\n"
+    )
+
+
+def test_orientability_disagreement_names_theta_1_based(capsys, monkeypatch):
+    monkeypatch.setattr("flaghom.cli.orientable_typeA", lambda n, theta: None)
+    assert main(["orientability", "A", "3", "--theta", "1,3"]) == 1
+    assert capsys.readouterr().err == (
+        "flaghom: cross-check failure: orientability criteria disagree for "
+        "theta=[1, 3]\n"
+    )
 
 
 def test_installed_entry_point():

@@ -125,17 +125,6 @@ def test_remark_route_rejects_other_families():
         kappa_via_dual_height_remarks(g, pair)
 
 
-def test_height_route_requires_split():
-    g = cached_group("A", 2)
-    pair = next(all_pairs(g))
-    g.system.root_multiplicity[(1, 1)] = 2
-    try:
-        with pytest.raises(ValueError, match="height formula requires split form"):
-            kappa_via_height(g, pair)
-    finally:
-        g.system.root_multiplicity[(1, 1)] = 1
-
-
 def test_magnitude_parity_law():
     g = cached_group("B", 2)
     for pair in all_pairs(g):
@@ -179,15 +168,6 @@ def test_low_degree_sign_table(n, request=None):
             (i, i + 1): 2,
             (i + 1, i + 1): -2,
         }
-
-
-def test_sign_policy_none():
-    from flaghom.coeffs import SIGN_POLICY_NONE
-
-    g = cached_group("A", 2)
-    for pair in all_pairs(g):
-        magnitude, sign = coefficient(g, pair, SIGN_POLICY_NONE)
-        assert sign is None
 
 
 def test_report_consistency():

@@ -80,45 +80,49 @@ def test_snf_matches_determinantal_divisor_oracle(nrows, ncols, data):
 
 def test_a2_full_flag_boundaries():
     g = cached_group("A", 2)
-    c = build_complex(g, frozenset(), 3, "Z")
+    c = build_complex(g, frozenset(), 3)
     assert c.boundaries[1] == [[0], [0]]
     assert sorted(c.boundaries[2]) == [[-2, 0], [0, -2]]
 
 
 def test_mod2_boundaries_vanish():
+    # every integral entry is 0 or +-2, so every boundary vanishes mod 2
     for family, rank in [("A", 3), ("B", 2)]:
         g = cached_group(family, rank)
         for theta in subsets(rank):
-            c = build_complex(g, theta, 3, "Z2")
+            c = build_complex(g, theta, 3)
             assert all(
-                all(x == 0 for x in row) for rows in c.boundaries.values() for row in rows
+                x % 2 == 0 for rows in c.boundaries.values() for row in rows for x in row
             )
 
 
 def test_a3_degree3_matrix_pattern():
     g = cached_group("A", 3)
-    c = build_complex(g, frozenset(), 3, "Z", allow_indeterminate_rows=True)
+    c = build_complex(g, frozenset(), 3)
     nonzero_rows = [row for row in c.boundaries[3] if any(row)]
     assert sorted(sorted(row) for row in nonzero_rows) == [[-2, 0, 0, 0, 2], [0, 0, 0, 0, 2]]
 
 
-def test_sign_indeterminate_raises_by_default():
+def test_uncertified_degree_raises():
+    # H_3 of the A3 full flag needs the zeroed degree-3 rows themselves
     g = cached_group("A", 3)
-    with pytest.raises(SignIndeterminateError, match="sign-indeterminate pair"):
-        build_complex(g, frozenset(), 3, "Z")
+    c = build_complex(g, frozenset(), 4)
+    assert 3 in c.indeterminate_rows
+    with pytest.raises(SignIndeterminateError, match="degree 3"):
+        homology_groups(c, 3)
 
 
 def test_h0_is_z():
     for family, rank in [("A", 2), ("B", 2)]:
         g = cached_group(family, rank)
-        c = build_complex(g, frozenset(), 1, "Z")
+        c = build_complex(g, frozenset(), 1)
         h0 = homology_groups(c, 0)[0]
         assert (h0.free_rank, h0.torsion) == (1, ())
 
 
 def test_a3_full_flag_homology():
     g = cached_group("A", 3)
-    c = build_complex(g, frozenset(), 3, "Z", allow_indeterminate_rows=True)
+    c = build_complex(g, frozenset(), 3)
     h0, h1, h2 = homology_groups(c, 2)
     assert (h0.free_rank, h0.torsion) == (1, ())
     assert (h1.free_rank, h1.torsion) == (0, (2, 2, 2))
@@ -127,7 +131,7 @@ def test_a3_full_flag_homology():
 
 def test_homology_requires_depth():
     g = cached_group("A", 2)
-    c = build_complex(g, frozenset(), 2, "Z")
+    c = build_complex(g, frozenset(), 2)
     with pytest.raises(ValueError, match="not built deep enough"):
         homology_groups(c, 2)
 
@@ -143,7 +147,7 @@ def test_closed_form_examples():
 
 def test_point_has_trivial_h1_h2():
     g = cached_group("A", 3)
-    c = build_complex(g, frozenset({0, 1, 2}), 3, "Z")
+    c = build_complex(g, frozenset({0, 1, 2}), 3)
     _, h1, h2 = homology_groups(c, 2)
     assert (h1.free_rank, h1.torsion) == (0, ())
     assert (h2.free_rank, h2.torsion) == (0, ())
@@ -153,7 +157,7 @@ def test_point_has_trivial_h1_h2():
 def test_closed_form_matches_complex(n):
     g = cached_group("A", n - 1)
     for theta in subsets(n - 1):
-        c = build_complex(g, theta, 3, "Z", allow_indeterminate_rows=True)
+        c = build_complex(g, theta, 3)
         groups = homology_groups(c, 2)
         h1, h2 = h1_h2_closed_form(n, theta)
         assert (groups[1].free_rank, groups[1].torsion) == (0, h1.torsion)
@@ -241,7 +245,7 @@ def test_universal_coefficients_low_degrees():
     for n in (4, 5):
         g = cached_group("A", n - 1)
         for theta in subsets(n - 1):
-            c = build_complex(g, theta, 3, "Z", allow_indeterminate_rows=True)
+            c = build_complex(g, theta, 3)
             groups = homology_groups(c, 2)
             betti = poincare_mod2(g, theta)
             betti += [0] * (3 - len(betti))

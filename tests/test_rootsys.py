@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 from flaghom import CartanData, build_root_system, height, root_system
 from flaghom.rootsys import NotFiniteTypeError, is_positive, negate
 
-from conftest import cached_system
-
 
 def brute_force_positive_roots(system):
     """Independent closure oracle: iterate reflections to a fixed point."""
@@ -27,19 +25,19 @@ def brute_force_positive_roots(system):
 
 
 def test_a2_positive_roots():
-    s = cached_system("A", 2)
+    s = root_system("A", 2)
     assert set(s.positive_roots) == {(1, 0), (0, 1), (1, 1)}
 
 
 def test_b2_positive_roots_and_heights():
-    s = cached_system("B", 2)
+    s = root_system("B", 2)
     assert set(s.positive_roots) == brute_force_positive_roots(s)
     assert len(s.positive_roots) == 4
     assert sorted(height(r) for r in s.positive_roots) == [1, 1, 2, 3]
 
 
 def test_g2_positive_roots():
-    s = cached_system("G", 2)
+    s = root_system("G", 2)
     assert set(s.positive_roots) == brute_force_positive_roots(s)
     assert len(s.positive_roots) == 6
     assert max(height(r) for r in s.positive_roots) == 5
@@ -50,7 +48,7 @@ def test_g2_positive_roots():
     [("A", 3, 6), ("A", 4, 10), ("B", 3, 9), ("C", 3, 9), ("D", 4, 12), ("F", 4, 24), ("E", 6, 36)],
 )
 def test_classical_positive_root_counts(family, rank, count):
-    assert len(cached_system(family, rank).positive_roots) == count
+    assert len(root_system(family, rank).positive_roots) == count
 
 
 def test_not_finite_type_rejected():
@@ -69,16 +67,16 @@ def test_cartan_data_validation():
 
 
 def test_reflect_examples():
-    a2 = cached_system("A", 2)
+    a2 = root_system("A", 2)
     assert a2.reflect(0, (0, 1)) == (1, 1)
-    for s in (a2, cached_system("B", 2)):
+    for s in (a2, root_system("B", 2)):
         for i in range(s.rank):
             assert s.reflect(i, s.simple(i)) == negate(s.simple(i))
 
 
 def test_b2_reflection_orbit():
     # brute-force orbit of a1 under both generators: exactly the long roots
-    s = cached_system("B", 2)
+    s = root_system("B", 2)
     orbit = {s.simple(0)}
     frontier = list(orbit)
     while frontier:
@@ -93,7 +91,7 @@ def test_b2_reflection_orbit():
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)])
 def test_reflection_closure_bijective(family, rank):
-    s = cached_system(family, rank)
+    s = root_system(family, rank)
     all_roots = set(s.positive_roots) | {negate(r) for r in s.positive_roots}
     for i in range(rank):
         image = {s.reflect(i, r) for r in all_roots}
@@ -102,20 +100,20 @@ def test_reflection_closure_bijective(family, rank):
 
 def test_coroot_simply_laced_self_dual():
     for family, rank in [("A", 4), ("D", 4), ("E", 6)]:
-        s = cached_system(family, rank)
+        s = root_system(family, rank)
         for r in s.positive_roots:
             assert s.coroot(r) == r
 
 
 def test_coroot_b2_long_root():
-    s = cached_system("B", 2)
+    s = root_system("B", 2)
     assert s.cartan.symmetrizer == (2, 1)
     assert s.coroot((1, 2)) == (1, 1)
 
 
 def test_coroot_simple_roots():
     for family, rank in [("B", 3), ("G", 2), ("F", 4)]:
-        s = cached_system(family, rank)
+        s = root_system(family, rank)
         for i in range(rank):
             assert s.coroot(s.simple(i)) == s.simple(i)
             assert s.coroot_height(s.simple(i)) == 1
@@ -127,7 +125,7 @@ def test_coroot_simple_roots():
 )
 def test_coroot_involution(family, rank):
     """coroot(coroot(a)) = a, checked through the explicitly built dual system."""
-    s = cached_system(family, rank)
+    s = root_system(family, rank)
     dual_cartan = CartanData(
         family,
         rank,
@@ -150,20 +148,20 @@ def _dual_symmetrizer(s):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_b_c_duality(n):
-    b, c = cached_system("B", n), cached_system("C", n)
+    b, c = root_system("B", n), root_system("C", n)
     assert {b.coroot(r) for r in b.positive_roots} == set(c.positive_roots)
     assert {c.coroot(r) for r in c.positive_roots} == set(b.positive_roots)
 
 
 def test_p_sum_examples():
-    a2 = cached_system("A", 2)
+    a2 = root_system("A", 2)
     assert a2.p_sum([0, 1], 1, 2, 0) == -1
-    a3 = cached_system("A", 3)
+    a3 = root_system("A", 3)
     assert a3.p_sum([0, 1, 2], 1, 3, 1) == (-1) * (-1)
 
 
 def test_p_sum_index_errors():
-    a3 = cached_system("A", 3)
+    a3 = root_system("A", 3)
     for x, y, l in [(2, 2, 0), (0, 2, 0), (1, 3, 2), (1, 4, 0)]:
         with pytest.raises(ValueError, match="invalid P-sum indices"):
             a3.p_sum([0, 1, 2], x, y, l)
@@ -171,7 +169,7 @@ def test_p_sum_index_errors():
 
 @given(st.data())
 def test_p_sum_shift_property(data):
-    s = cached_system("B", 3)
+    s = root_system("B", 3)
     m = data.draw(st.integers(3, 8))
     seq = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
     x = data.draw(st.integers(2, m - 1))
@@ -182,7 +180,7 @@ def test_p_sum_shift_property(data):
 
 @given(st.data())
 def test_p_sum_recursion(data):
-    s = cached_system("F", 4)
+    s = root_system("F", 4)
     m = data.draw(st.integers(2, 8))
     seq = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
     x = data.draw(st.integers(1, m - 1))
@@ -206,7 +204,7 @@ def fold_reflect(system, sequence):
 
 
 def test_conjugated_root_short_cases():
-    a2 = cached_system("A", 2)
+    a2 = root_system("A", 2)
     assert a2.conjugated_root([0]) == (1, 0)
     assert a2.conjugated_root([0, 1]) == (1, 1)  # d2 - <d1*, d2> d1
     assert a2.conjugated_root([0, 0]) == (-1, 0)  # s1(d1) = -d1
@@ -214,7 +212,7 @@ def test_conjugated_root_short_cases():
 
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3)])
 def test_conjugated_root_equals_fold(family, rank):
-    s = cached_system(family, rank)
+    s = root_system(family, rank)
     for m in (1, 2, 3, 4):
         for seq in itertools.product(range(rank), repeat=m):
             assert s.conjugated_root(list(seq)) == fold_reflect(s, seq)
@@ -226,11 +224,6 @@ def test_conjugated_root_equals_fold(family, rank):
 
 def test_height_highest_roots():
     for n in (2, 3, 4, 5):
-        s = cached_system("A", n)
+        s = root_system("A", n)
         assert max(height(r) for r in s.positive_roots) == n
-    assert max(height(r) for r in cached_system("G", 2).positive_roots) == 5
-
-
-def test_multiplicities_default_one():
-    s = cached_system("B", 3)
-    assert all(m == 1 for m in s.root_multiplicity.values())
+    assert max(height(r) for r in root_system("G", 2).positive_roots) == 5

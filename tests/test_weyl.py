@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
-from flaghom import WeylGroup, code_spectrum, covers_oracle_typeA, from_code_spectrum
+from flaghom import WeylGroup, code_spectrum, covers_oracle_typeA, from_code_spectrum, root_system
 from flaghom.rootsys import is_positive
 from flaghom.weyl import GroupTooLargeError, from_lehmer_code, lehmer_code
 
-from conftest import cached_group, cached_system
+from conftest import cached_group
 
 
 def test_a2_enumeration():
@@ -23,7 +23,7 @@ def test_b2_enumeration():
 
 
 def test_a3_truncated_enumeration():
-    g = WeylGroup(cached_system("A", 3), max_length=2)
+    g = WeylGroup(root_system("A", 3), max_length=2)
     assert len(g.elements) == 1 + 3 + 5
 
 
@@ -34,7 +34,7 @@ def test_group_order_matches_factorial():
 
 def test_size_cap():
     with pytest.raises(GroupTooLargeError, match="group too large"):
-        WeylGroup(cached_system("A", 4), size_cap=50)
+        WeylGroup(root_system("A", 4), size_cap=50)
 
 
 def test_words_are_reduced_and_canonical():
