@@ -162,7 +162,7 @@ def report_weyl(job: JobSpec) -> dict:
 
 
 def report_coeffs(job: JobSpec) -> dict:
-    group = WeylGroup(root_system(job.family, job.rank))
+    group = WeylGroup(root_system(job.family, job.rank), max_length=job.max_degree)
     reps = group.minimal_representatives(job.theta)
     rep_set = {w.matrix for w in reps}
     pairs = []
@@ -195,13 +195,14 @@ def report_coeffs(job: JobSpec) -> dict:
 
 
 def report_homology(job: JobSpec) -> dict:
-    group = WeylGroup(root_system(job.family, job.rank))
+    system = root_system(job.family, job.rank)
     if job.ring == "Z2":
-        betti = poincare_mod2(group, job.theta)
+        betti = poincare_mod2(WeylGroup(system), job.theta)
         return {
             "mod2_betti": betti,
             "homology": [{"degree": k, "mod2_dim": b} for k, b in enumerate(betti)],
         }
+    group = WeylGroup(system, max_length=job.max_degree)
     complex_ = build_complex(group, job.theta, job.max_degree)
     groups = homology_groups(complex_, job.max_degree - 1)
     out = {
@@ -246,7 +247,7 @@ def _orientable_typeA_checked(n: int, theta: frozenset[int], top_cell: bool) -> 
 
 
 def report_orientability(job: JobSpec) -> dict:
-    group = WeylGroup(root_system(job.family, job.rank))
+    group = WeylGroup(root_system(job.family, job.rank), max_length=0)
     top_cell = orientable_via_topcell(group, job.theta)
     orientable: dict = {"top_cell": top_cell}
     if job.family == "A":
@@ -258,7 +259,9 @@ def report_orientability(job: JobSpec) -> dict:
 def report_sweep(job: JobSpec) -> dict:
     import itertools
 
-    group = WeylGroup(root_system(job.family, job.rank))
+    # type A rows read only top cells; mod-2 Poincare rows read all of W
+    max_length = 0 if job.family == "A" else None
+    group = WeylGroup(root_system(job.family, job.rank), max_length=max_length)
     n = job.rank + 1
     rows = []
     for size in range(job.rank + 1):

@@ -14,7 +14,7 @@ from math import comb
 
 from .coeffs import coefficient
 from .rootsys import RootSystem, root_system
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylElement, WeylGroup, in_quotient
 
 
 class SignIndeterminateError(ValueError):
@@ -52,6 +52,8 @@ def build_complex(
     zeroed row can only remove redundant image; `homology_groups` re-verifies
     that before trusting a degree that depends on such a matrix.
     """
+    if group.max_length is not None and group.max_length < max_degree:
+        raise ValueError("group is enumerated below the requested degree")
     theta = frozenset(theta)
     reps = group.minimal_representatives(theta)
     cells: dict[int, list[WeylElement]] = {k: [] for k in range(max_degree + 1)}
@@ -285,11 +287,8 @@ def orientable_via_topcell(group: WeylGroup, theta: frozenset[int] | set[int]) -
     from .coeffs import kappa_via_height
 
     theta = frozenset(theta)
-    reps = group.minimal_representatives(theta)
-    top = max(reps, key=lambda w: w.length)
-    rep_set = {w.matrix for w in reps}
     return all(
         kappa_via_height(group, pair) % 2 == 1
-        for pair in group.bruhat_covers(top)
-        if pair.w_prime.matrix in rep_set
+        for pair in group.bruhat_covers(group.top_cell(theta))
+        if in_quotient(pair.w_prime.matrix, theta)
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
 
 Coeffs = tuple[int, ...]
 
@@ -23,6 +23,17 @@ POSITIVE_ROOT_COUNTS = {
     "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
     "F": lambda n: 24,
     "G": lambda n: 6,
+}
+
+#: order of the Weyl group per family, as a function of the rank
+WEYL_GROUP_ORDERS = {
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2**n * factorial(n),
+    "C": lambda n: 2**n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
+    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
+    "F": lambda n: 1152,
+    "G": lambda n: 12,
 }
 
 RANK_BOUNDS = {

@@ -3,7 +3,15 @@
 Elements are identified by their action on the simple-root coordinates: the
 ``matrix`` field holds the images of the simple roots as columns, which is a
 faithful finite representation.  Words are canonical (lexicographically
-smallest reduced), computed greedily from left descents.
+smallest reduced): the word of w is its smallest left descent j followed by
+the word of s_j*w, which is one length lower, so each word costs one lookup.
+
+`WeylGroup` enumerates W breadth-first up to ``max_length``.  Enumerating all
+of W (``max_length`` None or at least the number of positive roots) is
+refused before it starts when |W| exceeds ``size_cap``; a truncated group
+counts against the cap every element it stores.  Elements above
+``max_length``, such as the covers of `WeylGroup.top_cell`, are built on
+demand by the same descent rule and memoised, without joining ``elements``.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .rootsys import Coeffs, RootSystem, is_positive, simple_root
+from .rootsys import WEYL_GROUP_ORDERS, Coeffs, RootSystem, is_positive, simple_root
 
 Matrix = tuple[Coeffs, ...]  # columns: images of the simple roots
 
@@ -73,7 +81,8 @@ class CoveringPair:
 
 
 class WeylGroup:
-    """Enumerated Weyl group (optionally truncated by length) of a root system."""
+    """Weyl group of a root system, enumerated up to ``max_length`` (all of W
+    when None); elements above it are built on demand and memoised."""
 
     def __init__(
         self,
@@ -83,11 +92,14 @@ class WeylGroup:
     ):
         self.system = system
         self.max_length = max_length
+        self.size_cap = size_cap
         n = system.rank
         self._identity_matrix: Matrix = tuple(simple_root(n, i) for i in range(n))
-        self.elements: list[WeylElement] = []
-        self.by_matrix: dict[Matrix, WeylElement] = {}
-        self._enumerate(size_cap)
+        one_line = tuple(range(1, n + 2)) if system.family == "A" else None
+        identity = WeylElement((), self._identity_matrix, self._identity_matrix, one_line)
+        self.elements: list[WeylElement] = [identity]
+        self.by_matrix: dict[Matrix, WeylElement] = {identity.matrix: identity}
+        self._enumerate()
 
     # -- construction -----------------------------------------------------
 
@@ -107,57 +119,59 @@ class WeylGroup:
         """Matrix of s_i*w: reflect every column."""
         return tuple(self.system.reflect(i, col) for col in matrix)
 
-    def _enumerate(self, size_cap: int) -> None:
-        n = self.system.rank
-        seen: dict[Matrix, Matrix] = {self._identity_matrix: self._identity_matrix}
-        level = [self._identity_matrix]
-        levels = [level]
+    def _enumerate(self) -> None:
+        """Breadth-first search by length; the whole group is refused up front
+        when its order exceeds the cap."""
+        system = self.system
+        n = system.rank
+        whole = self.max_length is None or self.max_length >= len(system.positive_roots)
+        if whole and WEYL_GROUP_ORDERS[system.family](n) > self.size_cap:
+            raise GroupTooLargeError(f"group too large: more than {self.size_cap} elements")
+        level = self.elements[:]
         length = 0
         while level and (self.max_length is None or length < self.max_length):
-            nxt: list[Matrix] = []
-            for m in level:
+            nxt: list[WeylElement] = []
+            for w in level:
                 for i in range(n):
-                    if is_positive(m[i]):  # l(w*s_i) = l(w)+1
-                        m2 = self._right_mult(m, i)
-                        if m2 not in seen:
-                            seen[m2] = self._left_mult(i, seen[m])  # inv of w*s_i
-                            nxt.append(m2)
-            if len(seen) > size_cap:
-                raise GroupTooLargeError(f"group too large: more than {size_cap} elements")
+                    if is_positive(w.matrix[i]):  # l(w*s_i) = l(w)+1
+                        m2 = self._right_mult(w.matrix, i)
+                        if m2 not in self.by_matrix:
+                            # inverse of w*s_i is s_i*w^{-1}
+                            nxt.append(self._build(m2, self._left_mult(i, w.inverse_matrix)))
+            self.elements.extend(nxt)
             level = nxt
-            levels.append(level)
             length += 1
+        self.elements.sort(key=lambda w: (w.length, w.word))
 
-        elements = []
-        for m in seen:
-            word = self._canonical_word(m, seen[m])
-            one_line = (
-                self._word_to_one_line(word) if self.system.family == "A" else None
-            )
-            elements.append(WeylElement(word, m, seen[m], one_line))
-        elements.sort(key=lambda w: (w.length, w.word))
-        self.elements = elements
-        self.by_matrix = {w.matrix: w for w in elements}
+    def _build(self, matrix: Matrix, inverse: Matrix) -> WeylElement:
+        """Memoise the element with this matrix, which ``by_matrix`` lacks.
 
-    def _canonical_word(self, matrix: Matrix, inverse: Matrix) -> tuple[int, ...]:
-        """Lex-smallest reduced word, by greedily peeling smallest left descents."""
+        Its canonical word is its smallest left descent j followed by the
+        word of s_j*w, one length lower; a lower element that ``by_matrix``
+        lacks is built first by the same rule.
+        """
         n = self.system.rank
-        word: list[int] = []
-        m, minv = matrix, inverse
-        while m != self._identity_matrix:
-            # i is a left descent iff w^{-1}(a_i) < 0
-            i = next(j for j in range(n) if not is_positive(minv[j]))
-            word.append(i)
-            m = self._left_mult(i, m)
-            minv = self._right_mult(minv, i)
-        return tuple(word)
-
-    def _word_to_one_line(self, word: tuple[int, ...]) -> tuple[int, ...]:
-        n = self.system.rank + 1
-        perm = list(range(1, n + 1))
-        for i in word:
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        return tuple(perm)
+        chain: list[tuple[int, Matrix, Matrix]] = []
+        while True:
+            # j is a left descent iff w^{-1}(a_j) < 0
+            j = next(k for k in range(n) if not is_positive(inverse[k]))
+            chain.append((j, matrix, inverse))
+            matrix = self._left_mult(j, matrix)
+            below = self.by_matrix.get(matrix)
+            if below is not None:
+                break
+            inverse = self._right_mult(inverse, j)
+        for j, matrix, inverse in reversed(chain):
+            one_line = below.one_line
+            if one_line is not None:  # s_j*w swaps the values j+1 and j+2
+                one_line = tuple(
+                    j + 2 if v == j + 1 else j + 1 if v == j + 2 else v for v in one_line
+                )
+            below = WeylElement((j,) + below.word, matrix, inverse, one_line)
+            self.by_matrix[matrix] = below
+            if len(self.by_matrix) > self.size_cap:
+                raise GroupTooLargeError(f"group too large: more than {self.size_cap} elements")
+        return below
 
     # -- queries ----------------------------------------------------------
 
@@ -167,7 +181,11 @@ class WeylGroup:
 
     def element_from_word(self, word: tuple[int, ...] | list[int]) -> WeylElement:
         m = reduce(self._right_mult, word, self._identity_matrix)
-        return self.by_matrix[m]
+        w = self.by_matrix.get(m)
+        if w is None:
+            inverse = reduce(lambda inv, i: self._left_mult(i, inv), word, self._identity_matrix)
+            w = self._build(m, inverse)
+        return w
 
     def from_one_line(self, one_line: tuple[int, ...]) -> WeylElement:
         if self.system.family != "A":
@@ -218,15 +236,41 @@ class WeylGroup:
         return sorted(found.values(), key=lambda p: p.deleted_index)
 
     def minimal_representatives(self, theta: frozenset[int] | set[int]) -> list[WeylElement]:
-        """W^Theta: elements sending every simple root of Theta to a positive root."""
-        theta = set(theta)
+        """W^Theta among the enumerated elements, in enumeration order."""
+        theta = self._checked_theta(theta)
+        return [w for w in self.elements if in_quotient(w.matrix, theta)]
+
+    def top_cell(self, theta: frozenset[int] | set[int]) -> WeylElement:
+        """The longest element w_0 w_{0,Theta} of W^Theta, without enumeration.
+
+        W^Theta is the interval [e, w_0 w_{0,Theta}] of the left weak order,
+        so a walk from e that left-multiplies by any s_i that lengthens w and
+        keeps w inside W^Theta can only stop at its top.
+        """
+        theta = self._checked_theta(theta)
+        matrix = inverse = self._identity_matrix
+        i = 0
+        while i < self.system.rank:
+            if is_positive(inverse[i]):  # l(s_i*w) = l(w)+1
+                up = self._left_mult(i, matrix)
+                if in_quotient(up, theta):
+                    matrix, inverse = up, self._right_mult(inverse, i)
+                    i = 0
+                    continue
+            i += 1
+        w = self.by_matrix.get(matrix)
+        return w if w is not None else self._build(matrix, inverse)
+
+    def _checked_theta(self, theta: frozenset[int] | set[int]) -> frozenset[int]:
+        theta = frozenset(theta)
         if not theta <= set(range(self.system.rank)):
             raise ValueError("theta indices out of range")
-        return [
-            w
-            for w in self.elements
-            if all(is_positive(w.matrix[i]) for i in theta)
-        ]
+        return theta
+
+
+def in_quotient(matrix: Matrix, theta: frozenset[int] | set[int]) -> bool:
+    """w is in W^Theta iff it sends every simple root of Theta to a positive root."""
+    return all(is_positive(matrix[k]) for k in theta)
 
 
 # -- type A one-line combinatorics ---------------------------------------

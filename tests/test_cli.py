@@ -180,6 +180,28 @@ def test_group_too_large_exits_2(capsys, monkeypatch):
     assert err == "flaghom: error: group too large: more than 50 elements\n"
 
 
+@pytest.mark.parametrize("command", ["weyl", "sweep"])
+def test_e7_refused_before_enumeration(capsys, monkeypatch, command):
+    def refuse(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(WeylGroup, "_right_mult", refuse)
+    err = _one_line_error(capsys, [command, "E", "7"], 2)
+    assert err == "flaghom: error: group too large: more than 1000000 elements\n"
+
+
+def test_homology_e6_and_orientability_e8(capsys):
+    code, out = run_cli(capsys, "homology", "E", "6", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert [h["degree"] for h in report["homology"]] == [0, 1, 2]
+    assert report["homology"][0] == {"degree": 0, "free_rank": 1, "torsion": []}
+    code, out = run_cli(capsys, "orientability", "E", "8", "--format", "json")
+    assert code == 0
+    # maximal flag manifolds are orientable
+    assert json.loads(out)["orientable"] == {"top_cell": True}
+
+
 def test_route_disagreement_exits_1_naming_the_pair(capsys, monkeypatch):
     monkeypatch.setattr("flaghom.coeffs.kappa_via_sigma", lambda group, pair: -1)
     assert main(["coeffs", "A", "2"]) == 1

@@ -134,6 +134,31 @@ def test_homology_requires_depth():
     c = build_complex(g, frozenset(), 2)
     with pytest.raises(ValueError, match="not built deep enough"):
         homology_groups(c, 2)
+    with pytest.raises(ValueError, match="enumerated below the requested degree"):
+        build_complex(cached_group("A", 2, 1), frozenset(), 2)
+
+
+def _complex_and_homology(group, theta):
+    c = build_complex(group, theta, 3)
+    try:
+        groups = homology_groups(c, 2)
+    except SignIndeterminateError as exc:
+        groups = str(exc)
+    cells = {k: [w.word for w in ws] for k, ws in c.cells.items()}
+    return cells, c.boundaries, c.indeterminate_rows, groups
+
+
+@pytest.mark.parametrize(
+    "family,rank,thetas",
+    [(f, r, list(subsets(r))) for f, r in [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]]
+    + [("F", 4, [frozenset()])],
+)
+def test_truncated_group_gives_full_group_complex(family, rank, thetas):
+    """Cells of length <= 3 and their covers are all H_0..H_2 reads."""
+    full = cached_group(family, rank)
+    truncated = cached_group(family, rank, 3)
+    for theta in thetas:
+        assert _complex_and_homology(truncated, theta) == _complex_and_homology(full, theta)
 
 
 def test_closed_form_examples():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from flaghom import WeylGroup, code_spectrum, covers_oracle_typeA, from_code_spectrum, root_system
-from flaghom.rootsys import is_positive
+from flaghom.rootsys import WEYL_GROUP_ORDERS, is_positive
 from flaghom.weyl import GroupTooLargeError, from_lehmer_code, lehmer_code
 
 from conftest import cached_group
@@ -35,6 +35,81 @@ def test_group_order_matches_factorial():
 def test_size_cap():
     with pytest.raises(GroupTooLargeError, match="group too large"):
         WeylGroup(root_system("A", 4), size_cap=50)
+    # a truncated group counts elements as it stores them: 1 + 4 + 9 > 10
+    with pytest.raises(GroupTooLargeError, match="more than 10 elements"):
+        WeylGroup(root_system("A", 4), max_length=2, size_cap=10)
+    # ... including those built on demand above max_length
+    g = WeylGroup(root_system("A", 4), max_length=0, size_cap=5)
+    with pytest.raises(GroupTooLargeError, match="more than 5 elements"):
+        g.element_from_word((0, 1, 2, 3, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", n) for n in range(1, 7)]
+    + [("B", n) for n in (2, 3, 4)]
+    + [("C", n) for n in (2, 3, 4, 5)]
+    + [("D", n) for n in (3, 4, 5)]
+    + [("F", 4), ("G", 2)],
+)
+def test_enumerated_order_matches_table(family, rank):
+    assert len(cached_group(family, rank).elements) == WEYL_GROUP_ORDERS[family](rank)
+
+
+def _peeled_word(g, w):
+    """Oracle: the lex-smallest reduced word, peeled off w's matrix by
+    repeatedly removing its smallest left descent."""
+    word = []
+    m, minv = w.matrix, w.inverse_matrix
+    while m != g.identity.matrix:
+        # i is a left descent iff w^{-1}(a_i) < 0
+        i = next(j for j in range(g.system.rank) if not is_positive(minv[j]))
+        word.append(i)
+        m = g._left_mult(i, m)
+        minv = g._right_mult(minv, i)
+    return tuple(word)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
+)
+def test_words_match_peeled_oracle(family, rank):
+    g = cached_group(family, rank)
+    for w in g.elements:
+        assert w.word == _peeled_word(g, w)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
+)
+def test_top_cell_is_longest_representative(family, rank):
+    full = cached_group(family, rank)
+    bare = WeylGroup(full.system, max_length=0)
+    for theta in _subsets(rank):
+        longest = max(full.minimal_representatives(theta), key=lambda w: w.length)
+        assert full.top_cell(theta).word == longest.word
+        top = bare.top_cell(theta)
+        assert (top.word, top.matrix, top.inverse_matrix) == (
+            longest.word, longest.matrix, longest.inverse_matrix
+        )
+    assert bare.elements == [bare.identity]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("G", 2)])
+def test_elements_on_demand_match_full_group(family, rank):
+    full = cached_group(family, rank)
+    bare = WeylGroup(full.system, max_length=0)
+
+    def fields(w):
+        return w.word, w.matrix, w.inverse_matrix, w.one_line
+
+    for w in full.elements:
+        assert fields(bare.element_from_word(w.word)) == fields(w)
+        # a reduced word that need not be canonical: the reversal gives w^{-1}
+        reverse = tuple(reversed(w.word))
+        assert fields(bare.element_from_word(reverse)) == fields(full.element_from_word(reverse))
+    assert bare.elements == [bare.identity]
+    assert len(bare.by_matrix) == len(full.elements)
 
 
 def test_words_are_reduced_and_canonical():
