@@ -31,6 +31,7 @@ from .weyl import (
     covers_oracle_typeA,
     from_code_spectrum,
     lehmer_code,
+    one_line,
 )
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
     "kappa_via_phi",
     "kappa_via_sigma",
     "lehmer_code",
+    "one_line",
     "orientable_typeA",
     "orientable_via_topcell",
     "poincare_mod2",

@@ -26,7 +26,7 @@ from .homology import (
     poincare_mod2,
 )
 from .rootsys import RANK_BOUNDS, height, root_system
-from .weyl import GroupTooLargeError, WeylGroup
+from .weyl import GroupTooLargeError, WeylGroup, one_line
 
 SCHEMA_VERSION = "2"
 
@@ -82,15 +82,21 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "tabulate H1/H2/orientability over all theta"),
     ]:
         p = sub.add_parser(name, help=helptext)
+        # each subcommand takes only the options it reads; the job echoes
+        # these defaults for the others
+        p.set_defaults(theta=None, theta_complement=None, max_degree=3, ring="z")
         p.add_argument("family", choices=list("ABCDEFG"), type=str.upper)
         p.add_argument("rank", type=int)
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--theta", type=_parse_indices, default=None,
-                           help="1-based simple-root indices in Theta")
-        group.add_argument("--theta-complement", type=_parse_indices, default=None,
-                           help="1-based indices of the complement of Theta")
-        p.add_argument("--max-degree", type=int, default=3)
-        p.add_argument("--ring", choices=["z", "z2"], default="z")
+        if name in ("weyl", "coeffs", "homology", "orientability"):
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--theta", type=_parse_indices,
+                               help="1-based simple-root indices in Theta")
+            group.add_argument("--theta-complement", type=_parse_indices,
+                               help="1-based indices of the complement of Theta")
+        if name in ("coeffs", "homology"):
+            p.add_argument("--max-degree", type=int)
+        if name == "homology":
+            p.add_argument("--ring", choices=["z", "z2"])
         p.add_argument("--format", choices=["text", "json", "tsv"], default="text")
     return parser
 
@@ -100,14 +106,11 @@ def jobspec_from_args(args: argparse.Namespace) -> JobSpec:
     lo, hi = RANK_BOUNDS[args.family]
     if not lo <= rank <= (hi or rank):
         raise ValueError(f"rank {rank} out of range for family {args.family}")
-    if args.theta is not None:
-        theta = frozenset(i - 1 for i in args.theta)
-    elif args.theta_complement is not None:
-        theta = frozenset(range(rank)) - frozenset(i - 1 for i in args.theta_complement)
-    else:
-        theta = frozenset()
-    if not theta <= set(range(rank)):
+    given = args.theta_complement if args.theta is None else args.theta
+    indices = frozenset(i - 1 for i in given or ())
+    if not indices <= set(range(rank)):
         raise ValueError("theta indices must lie in [1, rank]")
+    theta = indices if args.theta_complement is None else frozenset(range(rank)) - indices
     if args.max_degree < 0:
         raise ValueError("max-degree must be >= 0")
     if args.command == "homology" and args.ring == "z" and args.max_degree < 1:
@@ -130,10 +133,10 @@ def _word_out(word: tuple[int, ...]) -> list[int]:
     return [i + 1 for i in word]
 
 
-def _cell_out(w) -> dict:
+def _cell_out(job: JobSpec, w) -> dict:
     out = {"word": _word_out(w.word), "length": w.length}
-    if w.one_line is not None:
-        out["one_line"] = list(w.one_line)
+    if job.family == "A":
+        out["one_line"] = list(one_line(w.word, job.rank + 1))
     return out
 
 
@@ -157,7 +160,7 @@ def report_weyl(job: JobSpec) -> dict:
     reps = group.minimal_representatives(job.theta)
     return {
         "order": len(group.elements),
-        "cells": [_cell_out(w) for w in reps],
+        "cells": [_cell_out(job, w) for w in reps],
     }
 
 
@@ -206,7 +209,9 @@ def report_homology(job: JobSpec) -> dict:
     complex_ = build_complex(group, job.theta, job.max_degree)
     groups = homology_groups(complex_, job.max_degree - 1)
     out = {
-        "cells": [_cell_out(w) for k in sorted(complex_.cells) for w in complex_.cells[k]],
+        "cells": [
+            _cell_out(job, w) for k in sorted(complex_.cells) for w in complex_.cells[k]
+        ],
         "matrices": {str(k): complex_.boundaries[k] for k in complex_.boundaries},
         "homology": [
             {"degree": k, "free_rank": h.free_rank, "torsion": list(h.torsion)}

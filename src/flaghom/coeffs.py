@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rootsys import Coeffs, height, root_system
-from .weyl import CoveringPair, WeylGroup
+from .weyl import CoveringPair, WeylGroup, covers_oracle_typeA, one_line
 
 
 class RouteDisagreementError(AssertionError):
@@ -107,50 +107,43 @@ class KappaReport:
     def kappa(self) -> int:
         return self.kappa_height
 
-    @property
-    def value(self) -> int | None:
-        """Signed coefficient, when determined (0 needs no sign)."""
-        if self.magnitude == 0:
-            return 0
-        return None if self.sign is None else self.sign * self.magnitude
+
+def _magnitude_and_sign(pair: CoveringPair, kappa: int) -> tuple[int, int | None]:
+    """Magnitude 0 or 2 from kappa's parity.  A sign is emitted only when the
+    deletion of position I from w's canonical word reproduces w's cover
+    letter-by-letter, in which case the characteristic-map degree is 1 and
+    the sign is (-1)^I; otherwise the sign is None (unknown)."""
+    if kappa % 2:
+        return 0, None
+    word = pair.w.word
+    deleted = word[: pair.deleted_index - 1] + word[pair.deleted_index :]
+    return 2, ((-1) ** pair.deleted_index if deleted == pair.w_prime.word else None)
 
 
 def coefficient(group: WeylGroup, pair: CoveringPair) -> tuple[int, int | None]:
-    """(magnitude, sign) of c(w, w').
-
-    Magnitude is 0 or 2 from kappa's parity (height and sigma routes are both
-    evaluated and must agree).  A sign is emitted only when the deletion of
-    position I from w's canonical word reproduces w's cover letter-by-letter,
-    in which case the characteristic-map degree is 1 and the sign is (-1)^I;
-    otherwise the sign is None (unknown).
-    """
+    """(magnitude, sign) of c(w, w'); the height and sigma routes are both
+    evaluated and must agree."""
     kh = kappa_via_height(group, pair)
     ks = kappa_via_sigma(group, pair)
     if kh != ks:
         raise RouteDisagreementError(
             f"kappa routes disagree on {pair}: height={kh} sigma={ks}"
         )
-    magnitude = 0 if kh % 2 else 2
-    sign: int | None = None
-    if magnitude:
-        word = pair.w.word
-        deleted = word[: pair.deleted_index - 1] + word[pair.deleted_index :]
-        if deleted == pair.w_prime.word:
-            sign = (-1) ** pair.deleted_index
-    return magnitude, sign
+    return _magnitude_and_sign(pair, kh)
 
 
 def kappa_report(group: WeylGroup, pair: CoveringPair) -> KappaReport:
-    """Evaluate every applicable route; hard-fail on any disagreement."""
+    """Evaluate every applicable route once; hard-fail on any disagreement."""
     kh = kappa_via_height(group, pair)
     ks = kappa_via_sigma(group, pair)
     kp = kappa_via_phi(group, pair)
     values = {kh, ks, kp}
     ka: int | None = None
     if group.system.family == "A":
-        from .weyl import covers_oracle_typeA
-
-        positions = covers_oracle_typeA(pair.w.one_line, pair.w_prime.one_line)
+        n = group.system.rank + 1
+        positions = covers_oracle_typeA(
+            one_line(pair.w.word, n), one_line(pair.w_prime.word, n)
+        )
         if positions is None:
             raise AssertionError("covering pair rejected by the one-line oracle")
         ka = positions[1] - positions[0]
@@ -159,5 +152,4 @@ def kappa_report(group: WeylGroup, pair: CoveringPair) -> KappaReport:
         values.add(kappa_via_dual_height_remarks(group, pair))
     if len(values) != 1:
         raise RouteDisagreementError(f"kappa routes disagree on {pair}: {sorted(values)}")
-    magnitude, sign = coefficient(group, pair)
-    return KappaReport(pair, kh, ks, kp, ka, magnitude, sign)
+    return KappaReport(pair, kh, ks, kp, ka, *_magnitude_and_sign(pair, kh))

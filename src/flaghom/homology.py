@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .coeffs import coefficient
-from .rootsys import RootSystem, root_system
+from .rootsys import RootSystem
 from .weyl import WeylElement, WeylGroup, in_quotient
 
 
@@ -25,10 +25,6 @@ class SignIndeterminateError(ValueError):
 class HomologyGroup:
     free_rank: int
     torsion: tuple[int, ...]
-
-    def __str__(self) -> str:
-        parts = ["Z"] * self.free_rank + [f"Z{t}" for t in self.torsion]
-        return " + ".join(parts) if parts else "0"
 
 
 @dataclass
@@ -46,11 +42,12 @@ def build_complex(
 ) -> ChainComplex:
     """Assemble integral boundary matrices on W^Theta through the given degree.
 
-    Verifies d o d = 0 on construction.  A row with a magnitude-2 entry whose
-    sign is undetermined is zeroed whole and recorded.  Every boundary row
-    has even entries and lies in the kernel of the next boundary map, so a
-    zeroed row can only remove redundant image; `homology_groups` re-verifies
-    that before trusting a degree that depends on such a matrix.
+    Verifies d o d = 0 on construction wherever it is determined.  A row
+    with a magnitude-2 entry whose sign is undetermined is zeroed whole and
+    recorded.  Every boundary row has even entries and lies in the kernel of
+    the next boundary map, so a zeroed row can only remove redundant image;
+    `homology_groups` re-verifies that before trusting a degree that depends
+    on such a matrix.
     """
     if group.max_length is not None and group.max_length < max_degree:
         raise ValueError("group is enumerated below the requested degree")
@@ -95,9 +92,14 @@ def build_complex(
 
 
 def _assert_d_squared_zero(complex_: ChainComplex) -> None:
+    """d_{k-1} d_k = 0, checked on every row of d_k whose product is known: a
+    row that meets a zeroed row of d_{k-1} is skipped."""
     for k in range(2, complex_.max_degree + 1):
         a, b = complex_.boundaries[k], complex_.boundaries[k - 1]
+        unknown = complex_.indeterminate_rows.get(k - 1, [])
         for row in a:
+            if any(row[i] for i in unknown):
+                continue
             n_out = len(b[0]) if b else 0
             for j in range(n_out):
                 if sum(row[i] * b[i][j] for i in range(len(row))):
@@ -222,28 +224,6 @@ def poincare_mod2(group: WeylGroup, theta: frozenset[int] | set[int]) -> list[in
 # -- type A closed forms --------------------------------------------------
 
 
-def theta_components(system: RootSystem, theta: frozenset[int] | set[int]) -> int:
-    """Connected components of the sub-diagram spanned by theta, from the
-    Cartan matrix adjacency (works for every family; in type A this is the
-    number of maximal runs of consecutive indices)."""
-    theta = set(theta)
-    C = system.cartan.cartan_matrix
-    seen: set[int] = set()
-    components = 0
-    for start in theta:
-        if start in seen:
-            continue
-        components += 1
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            stack.extend(j for j in theta if j not in seen and C[i][j] != 0)
-    return components
-
-
 def h1_h2_closed_form(
     n: int, theta: frozenset[int] | set[int]
 ) -> tuple[HomologyGroup, HomologyGroup | None]:
@@ -260,8 +240,8 @@ def h1_h2_closed_form(
     h1 = HomologyGroup(0, (2,) * (n - len(theta) - 1))
     if n < 4:
         return h1, None
-    r = theta_components(root_system("A", n - 1), theta)
-    exponent = comb(n - len(theta) - 1, 2) + r - 1
+    runs = sum(1 for i in theta if i - 1 not in theta)  # components of theta
+    exponent = comb(n - len(theta) - 1, 2) + runs - 1
     return h1, HomologyGroup(0, (2,) * exponent)
 
 

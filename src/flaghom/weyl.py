@@ -8,8 +8,8 @@ the word of s_j*w, which is one length lower, so each word costs one lookup.
 
 `WeylGroup` enumerates W breadth-first up to ``max_length``.  Enumerating all
 of W (``max_length`` None or at least the number of positive roots) is
-refused before it starts when |W| exceeds ``size_cap``; a truncated group
-counts against the cap every element it stores.  Elements above
+refused before it starts when |W| exceeds ``DEFAULT_SIZE_CAP``; a truncated
+group counts against the cap every element it stores.  Elements above
 ``max_length``, such as the covers of `WeylGroup.top_cell`, are built on
 demand by the same descent rule and memoised, without joining ``elements``.
 """
@@ -30,12 +30,16 @@ class GroupTooLargeError(ValueError):
     """Raised when full enumeration would exceed the configured cap."""
 
 
+def _check_size(size: int) -> None:
+    if size > DEFAULT_SIZE_CAP:
+        raise GroupTooLargeError(f"group too large: more than {DEFAULT_SIZE_CAP} elements")
+
+
 @dataclass(frozen=True)
 class WeylElement:
     word: tuple[int, ...]
     matrix: Matrix
     inverse_matrix: Matrix
-    one_line: tuple[int, ...] | None = None
 
     @property
     def length(self) -> int:
@@ -84,19 +88,12 @@ class WeylGroup:
     """Weyl group of a root system, enumerated up to ``max_length`` (all of W
     when None); elements above it are built on demand and memoised."""
 
-    def __init__(
-        self,
-        system: RootSystem,
-        max_length: int | None = None,
-        size_cap: int = DEFAULT_SIZE_CAP,
-    ):
+    def __init__(self, system: RootSystem, max_length: int | None = None):
         self.system = system
         self.max_length = max_length
-        self.size_cap = size_cap
         n = system.rank
         self._identity_matrix: Matrix = tuple(simple_root(n, i) for i in range(n))
-        one_line = tuple(range(1, n + 2)) if system.family == "A" else None
-        identity = WeylElement((), self._identity_matrix, self._identity_matrix, one_line)
+        identity = WeylElement((), self._identity_matrix, self._identity_matrix)
         self.elements: list[WeylElement] = [identity]
         self.by_matrix: dict[Matrix, WeylElement] = {identity.matrix: identity}
         self._enumerate()
@@ -125,8 +122,8 @@ class WeylGroup:
         system = self.system
         n = system.rank
         whole = self.max_length is None or self.max_length >= len(system.positive_roots)
-        if whole and WEYL_GROUP_ORDERS[system.family](n) > self.size_cap:
-            raise GroupTooLargeError(f"group too large: more than {self.size_cap} elements")
+        if whole:
+            _check_size(WEYL_GROUP_ORDERS[system.family](n))
         level = self.elements[:]
         length = 0
         while level and (self.max_length is None or length < self.max_length):
@@ -162,15 +159,9 @@ class WeylGroup:
                 break
             inverse = self._right_mult(inverse, j)
         for j, matrix, inverse in reversed(chain):
-            one_line = below.one_line
-            if one_line is not None:  # s_j*w swaps the values j+1 and j+2
-                one_line = tuple(
-                    j + 2 if v == j + 1 else j + 1 if v == j + 2 else v for v in one_line
-                )
-            below = WeylElement((j,) + below.word, matrix, inverse, one_line)
+            below = WeylElement((j,) + below.word, matrix, inverse)
             self.by_matrix[matrix] = below
-            if len(self.by_matrix) > self.size_cap:
-                raise GroupTooLargeError(f"group too large: more than {self.size_cap} elements")
+            _check_size(len(self.by_matrix))
         return below
 
     # -- queries ----------------------------------------------------------
@@ -187,11 +178,6 @@ class WeylGroup:
             w = self._build(m, inverse)
         return w
 
-    def from_one_line(self, one_line: tuple[int, ...]) -> WeylElement:
-        if self.system.family != "A":
-            raise ValueError("one-line forms exist only in type A")
-        return next(w for w in self.elements if w.one_line == tuple(one_line))
-
     def is_reduced(self, word: tuple[int, ...] | list[int]) -> bool:
         m = self._identity_matrix
         for i in word:
@@ -200,11 +186,8 @@ class WeylGroup:
             m = self._right_mult(m, i)
         return True
 
-    def inversion_set(self, w: WeylElement) -> list[Coeffs]:
-        """Pi_w in word order: beta_k = s_1 ... s_{k-1}(d_k)."""
-        return self.inversion_set_of_word(w.word)
-
     def inversion_set_of_word(self, word: tuple[int, ...] | list[int]) -> list[Coeffs]:
+        """Pi_w in word order: beta_k = s_1 ... s_{k-1}(d_k)."""
         roots: list[Coeffs] = []
         prefix = self._identity_matrix
         for i in word:
@@ -274,6 +257,15 @@ def in_quotient(matrix: Matrix, theta: frozenset[int] | set[int]) -> bool:
 
 
 # -- type A one-line combinatorics ---------------------------------------
+
+
+def one_line(word: tuple[int, ...] | list[int], n: int) -> tuple[int, ...]:
+    """One-line form in S_n of the type A_{n-1} element with this word:
+    each letter i, read left to right, swaps the positions i+1 and i+2."""
+    perm = list(range(1, n + 1))
+    for i in word:
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    return tuple(perm)
 
 
 def covers_oracle_typeA(

@@ -20,13 +20,14 @@ from flaghom import (
     kappa_via_height,
     kappa_via_phi,
     kappa_via_sigma,
+    one_line,
     orientable_typeA,
     orientable_via_topcell,
     poincare_mod2,
     root_system,
 )
 
-from conftest import cached_group
+from conftest import cached_group, from_one_line
 
 
 def _verdict(number, name, body):
@@ -77,7 +78,9 @@ def test_criterion_2_typeA_kappa_j_minus_i():
         for n in (3, 4, 5, 6):
             g = cached_group("A", n - 1)
             for pair in _all_pairs(g):
-                ij = covers_oracle_typeA(pair.w.one_line, pair.w_prime.one_line)
+                ij = covers_oracle_typeA(
+                    one_line(pair.w.word, n), one_line(pair.w_prime.word, n)
+                )
                 assert ij is not None
                 i, j = ij
                 assert kappa_via_height(g, pair) == j - i
@@ -94,13 +97,13 @@ def test_criterion_2_typeA_kappa_j_minus_i():
 
 def test_criterion_3_low_degree_boundary_table():
     def signed_boundary(group, n, spectrum):
-        w = group.from_one_line(from_code_spectrum(spectrum, n))
+        w = from_one_line(group, from_code_spectrum(spectrum, n))
         out = {}
         for pair in group.bruhat_covers(w):
             magnitude, sign = coefficient(group, pair)
             if magnitude:
                 assert sign is not None
-                out[code_spectrum(pair.w_prime.one_line)] = sign * magnitude
+                out[code_spectrum(one_line(pair.w_prime.word, n))] = sign * magnitude
         return out
 
     def body():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from flaghom import WeylGroup
-from flaghom.cli import main
+from flaghom.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +103,11 @@ def test_sweep_a3(capsys):
     assert rows[()]["h1_torsion_rank"] == 3 and rows[()]["orientable"] is True
     assert rows[(2, 3)]["h1_torsion_rank"] == 1
     assert rows[(1, 2, 3)]["h1_torsion_rank"] == 0
+    # sweep takes no theta, degree or ring; the job echoes their defaults
+    assert report["job"] == {
+        "command": "sweep", "family": "A", "rank": 3, "theta": [],
+        "max_degree": 3, "ring": "Z", "format": "json",
+    }
 
 
 def test_text_and_json_agree(capsys):
@@ -139,6 +145,38 @@ def test_usage_errors_exit_2(capsys):
         assert "out of range for family" in capsys.readouterr().err
 
 
+def test_each_subcommand_takes_only_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    theta = {"--theta", "--theta-complement", "--format"}
+    assert options == {
+        "roots": {"--format"},
+        "weyl": theta,
+        "coeffs": theta | {"--max-degree"},
+        "homology": theta | {"--max-degree", "--ring"},
+        "orientability": theta,
+        "sweep": {"--format"},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "A", "3", "--theta", "1"],
+        ["roots", "B", "2", "--ring", "z2"],
+        ["weyl", "A", "2", "--max-degree", "2"],
+    ],
+)
+def test_unread_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_theta_flags_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["homology", "A", "3", "--theta", "1", "--theta-complement", "2"])
@@ -174,8 +212,27 @@ def test_homology_degree_limits_exit_2(capsys, max_degree, message):
     assert err.startswith("flaghom: error: ") and message in err
 
 
+@pytest.mark.parametrize("index", ["7", "0"])
+def test_theta_complement_out_of_range_exits_2(capsys, index):
+    err = _one_line_error(capsys, ["orientability", "A", "3", "--theta-complement", index], 2)
+    assert err == "flaghom: error: theta indices must lie in [1, rank]\n"
+
+
+@pytest.mark.parametrize("family,max_degree", [("D", "5"), ("F", "5"), ("A", "8"), ("B", "7")])
+def test_homology_above_sign_table_exits_2(capsys, family, max_degree):
+    # the d o d check skips products through zeroed rows, so the certificate decides
+    err = _one_line_error(capsys, ["homology", family, "4", "--max-degree", max_degree], 2)
+    assert err == "flaghom: error: cannot compute H_3: degree 3 has sign-indeterminate rows\n"
+
+
+def test_homology_g2_to_the_top_cell(capsys):
+    code, out = run_cli(capsys, "homology", "G", "2", "--max-degree", "6", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["homology"]) == 6
+
+
 def test_group_too_large_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr("flaghom.cli.WeylGroup", lambda system: WeylGroup(system, size_cap=50))
+    monkeypatch.setattr("flaghom.weyl.DEFAULT_SIZE_CAP", 50)
     err = _one_line_error(capsys, ["weyl", "A", "4"], 2)
     assert err == "flaghom: error: group too large: more than 50 elements\n"
 

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+import flaghom.coeffs
+
 from flaghom import (
     coefficient,
     from_code_spectrum,
@@ -10,10 +12,11 @@ from flaghom import (
     kappa_via_height,
     kappa_via_phi,
     kappa_via_sigma,
+    one_line,
 )
 from flaghom.rootsys import height
 
-from conftest import cached_group
+from conftest import cached_group, from_one_line
 
 
 def all_pairs(group, max_length=None):
@@ -145,12 +148,12 @@ def boundary_of(group, n, spectrum):
     from cover spectra to coefficients (zeros dropped)."""
     from flaghom import code_spectrum
 
-    w = group.from_one_line(from_code_spectrum(spectrum, n))
+    w = from_one_line(group, from_code_spectrum(spectrum, n))
     out = {}
     for pair in group.bruhat_covers(w):
         c = _signed(group, pair)
         if c:
-            out[code_spectrum(pair.w_prime.one_line)] = c
+            out[code_spectrum(one_line(pair.w_prime.word, n))] = c
     return out
 
 
@@ -177,4 +180,33 @@ def test_report_consistency():
         assert rep.kappa_height == rep.kappa_sigma == rep.kappa_phi
         assert rep.magnitude == abs(1 + (-1) ** rep.kappa)
         if rep.sign is not None:
-            assert rep.value == rep.sign * 2
+            assert rep.magnitude == 2
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_kappa_report_evaluates_each_route_once(monkeypatch, family, rank):
+    routes = [
+        "kappa_via_height", "kappa_via_sigma", "kappa_via_phi", "kappa_via_dual_height_remarks"
+    ]
+    calls = dict.fromkeys(routes, 0)
+
+    def counted(name, route):
+        def wrapper(group, pair):
+            calls[name] += 1
+            return route(group, pair)
+
+        return wrapper
+
+    for name in routes:
+        monkeypatch.setattr(flaghom.coeffs, name, counted(name, getattr(flaghom.coeffs, name)))
+    g = cached_group(family, rank)
+    pairs = list(all_pairs(g))
+    for pair in pairs:
+        kappa_report(g, pair)
+    dual = len(pairs) if family != "A" else 0
+    assert calls == {
+        "kappa_via_height": len(pairs),
+        "kappa_via_sigma": len(pairs),
+        "kappa_via_phi": len(pairs),
+        "kappa_via_dual_height_remarks": dual,
+    }

@@ -1,5 +1,5 @@
 import itertools
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +13,7 @@ from flaghom import (
     poincare_mod2,
     smith_normal_form,
 )
-from flaghom.homology import SignIndeterminateError, theta_components
+from flaghom.homology import SignIndeterminateError, _assert_d_squared_zero
 
 from conftest import cached_group
 
@@ -112,6 +112,30 @@ def test_uncertified_degree_raises():
         homology_groups(c, 3)
 
 
+@pytest.mark.parametrize(
+    "family,rank,max_degree", [("D", 4, 5), ("F", 4, 5), ("A", 4, 8), ("B", 4, 7)]
+)
+def test_d_squared_check_skips_only_unknown_products(family, rank, max_degree):
+    # products through a zeroed row of d_{k-1} are unknown and skipped
+    c = build_complex(cached_group(family, rank, max_degree), frozenset(), max_degree)
+    assert c.indeterminate_rows
+    flipped = 0
+    for k in range(2, max_degree + 1):
+        unknown = c.indeterminate_rows.get(k - 1, [])
+        for row in c.boundaries[k]:
+            if any(row[i] for i in unknown):
+                continue
+            for j, x in enumerate(row):
+                if x and any(c.boundaries[k - 1][j]):
+                    row[j] = -x
+                    with pytest.raises(AssertionError, match=f"nonzero in degree {k}"):
+                        _assert_d_squared_zero(c)
+                    row[j] = x
+                    flipped += 1
+    assert flipped
+    _assert_d_squared_zero(c)
+
+
 def test_h0_is_z():
     for family, rank in [("A", 2), ("B", 2)]:
         g = cached_group(family, rank)
@@ -190,14 +214,37 @@ def test_closed_form_matches_complex(n):
             assert (groups[2].free_rank, groups[2].torsion) == (0, h2.torsion)
 
 
+def diagram_components(system, theta):
+    """Oracle: connected components of the sub-diagram spanned by theta, by a
+    graph search on the Cartan matrix adjacency."""
+    C = system.cartan.cartan_matrix
+    seen: set[int] = set()
+    components = 0
+    for start in theta:
+        if start in seen:
+            continue
+        components += 1
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            if i not in seen:
+                seen.add(i)
+                stack.extend(j for j in theta if j not in seen and C[i][j] != 0)
+    return components
+
+
 def test_theta_components():
-    g = cached_group("A", 5)
-    assert theta_components(g.system, frozenset()) == 0
-    assert theta_components(g.system, {0, 1, 3}) == 2
-    assert theta_components(g.system, {0, 2, 4}) == 3
-    d4 = cached_group("D", 4).system
-    assert theta_components(d4, {0, 2, 3}) == 3  # the three leaves of D4
-    assert theta_components(d4, {0, 1, 2, 3}) == 1
+    a5 = cached_group("A", 5, 0).system
+    assert diagram_components(a5, frozenset()) == 0
+    assert diagram_components(a5, {0, 1, 3}) == 2
+    assert diagram_components(a5, {0, 2, 4}) == 3
+    # H_2 = Z2^(C(n - |theta| - 1, 2) + r - 1), r the components of theta
+    for n in range(4, 9):
+        system = cached_group("A", n - 1, 0).system
+        for theta in subsets(n - 1):
+            _, h2 = h1_h2_closed_form(n, theta)
+            r = diagram_components(system, theta)
+            assert len(h2.torsion) == comb(n - len(theta) - 1, 2) + r - 1
 
 
 # -- orientability --------------------------------------------------------

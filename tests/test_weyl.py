@@ -2,11 +2,18 @@ import itertools
 
 import pytest
 
-from flaghom import WeylGroup, code_spectrum, covers_oracle_typeA, from_code_spectrum, root_system
+from flaghom import (
+    WeylGroup,
+    code_spectrum,
+    covers_oracle_typeA,
+    from_code_spectrum,
+    one_line,
+    root_system,
+)
 from flaghom.rootsys import WEYL_GROUP_ORDERS, is_positive
 from flaghom.weyl import GroupTooLargeError, from_lehmer_code, lehmer_code
 
-from conftest import cached_group
+from conftest import cached_group, from_one_line
 
 
 def test_a2_enumeration():
@@ -32,14 +39,17 @@ def test_group_order_matches_factorial():
         assert len(cached_group("A", n).elements) == order
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
+    monkeypatch.setattr("flaghom.weyl.DEFAULT_SIZE_CAP", 50)
     with pytest.raises(GroupTooLargeError, match="group too large"):
-        WeylGroup(root_system("A", 4), size_cap=50)
+        WeylGroup(root_system("A", 4))
     # a truncated group counts elements as it stores them: 1 + 4 + 9 > 10
+    monkeypatch.setattr("flaghom.weyl.DEFAULT_SIZE_CAP", 10)
     with pytest.raises(GroupTooLargeError, match="more than 10 elements"):
-        WeylGroup(root_system("A", 4), max_length=2, size_cap=10)
+        WeylGroup(root_system("A", 4), max_length=2)
     # ... including those built on demand above max_length
-    g = WeylGroup(root_system("A", 4), max_length=0, size_cap=5)
+    monkeypatch.setattr("flaghom.weyl.DEFAULT_SIZE_CAP", 5)
+    g = WeylGroup(root_system("A", 4), max_length=0)
     with pytest.raises(GroupTooLargeError, match="more than 5 elements"):
         g.element_from_word((0, 1, 2, 3, 0, 1))
 
@@ -101,7 +111,7 @@ def test_elements_on_demand_match_full_group(family, rank):
     bare = WeylGroup(full.system, max_length=0)
 
     def fields(w):
-        return w.word, w.matrix, w.inverse_matrix, w.one_line
+        return w.word, w.matrix, w.inverse_matrix
 
     for w in full.elements:
         assert fields(bare.element_from_word(w.word)) == fields(w)
@@ -116,7 +126,7 @@ def test_words_are_reduced_and_canonical():
     g = cached_group("B", 3)
     for w in g.elements:
         assert g.is_reduced(w.word)
-        assert len(w.word) == len(g.inversion_set(w))
+        assert len(w.word) == len(g.inversion_set_of_word(w.word))
 
 
 def test_canonical_word_is_lex_min():
@@ -135,11 +145,11 @@ def test_canonical_word_is_lex_min():
 
 def test_inversion_sets():
     g = cached_group("A", 2)
-    assert g.inversion_set(g.identity) == []
+    assert g.inversion_set_of_word(g.identity.word) == []
     s1 = g.element_from_word((0,))
-    assert g.inversion_set(s1) == [(1, 0)]
+    assert g.inversion_set_of_word(s1.word) == [(1, 0)]
     w0 = max(g.elements, key=lambda w: w.length)
-    assert set(g.inversion_set(w0)) == set(g.system.positive_roots)
+    assert set(g.inversion_set_of_word(w0.word)) == set(g.system.positive_roots)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("G", 2)])
@@ -150,8 +160,8 @@ def test_inversion_set_is_negativity_set(family, rank):
         brute = {
             r for r in g.system.positive_roots if not is_positive(w.inverse_apply(r))
         }
-        assert set(g.inversion_set(w)) == brute
-        assert len(g.inversion_set(w)) == w.length
+        assert set(g.inversion_set_of_word(w.word)) == brute
+        assert len(g.inversion_set_of_word(w.word)) == w.length
 
 
 def subword_le(g, small, big_word):
@@ -230,19 +240,32 @@ def test_covers_oracle_rejects_non_permutation():
 @pytest.mark.parametrize("n", [4, 5])
 def test_covers_oracle_matches_word_covers(n):
     g = cached_group("A", n - 1)
-    by_line = {w.one_line: w for w in g.elements}
+    line = {w: one_line(w.word, n) for w in g.elements}
     word_covers = {
-        (p.w.one_line, p.w_prime.one_line)
+        (line[p.w], line[p.w_prime])
         for w in g.elements
         for p in g.bruhat_covers(w)
     }
     oracle_covers = set()
     for w in g.elements:
         for u in g.elements:
-            if u.length == w.length - 1 and covers_oracle_typeA(w.one_line, u.one_line):
-                oracle_covers.add((w.one_line, u.one_line))
+            if u.length == w.length - 1 and covers_oracle_typeA(line[w], line[u]):
+                oracle_covers.add((line[w], line[u]))
     assert word_covers == oracle_covers
-    assert set(by_line) == set(itertools.permutations(range(1, n + 1)))
+    assert set(line.values()) == set(itertools.permutations(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_one_line_matches_value_swap_rule(n):
+    """Oracle: s_j*w swaps the values j+1 and j+2 of w's one-line form."""
+    g = cached_group("A", n - 1)
+    for w in g.elements:
+        perm = tuple(range(1, n + 1))
+        for j in reversed(w.word):
+            perm = tuple(j + 2 if v == j + 1 else j + 1 if v == j + 2 else v for v in perm)
+        assert one_line(w.word, n) == perm
+        assert from_one_line(g, perm) == w
+    assert len({one_line(w.word, n) for w in g.elements}) == len(g.elements)
 
 
 def test_minimal_representatives():
@@ -288,7 +311,7 @@ def test_code_spectrum_identity():
 def test_spectrum_ii_is_si1_si():
     g = cached_group("A", 3)
     for i in (1, 2):
-        w = g.from_one_line(from_code_spectrum((i, i), 4))
+        w = from_one_line(g, from_code_spectrum((i, i), 4))
         assert w.word == (i, i - 1)  # s_{i+1} s_i in 1-based letters
 
 
@@ -315,7 +338,7 @@ def test_canonical_words_match_fixed_low_length_decompositions():
         m = n - 1  # number of generators, 1-based letters below
 
         def elem(spectrum):
-            return g.from_one_line(from_code_spectrum(spectrum, n))
+            return from_one_line(g, from_code_spectrum(spectrum, n))
 
         for i in range(1, m + 1):
             assert elem((i,)).word == (i - 1,)
