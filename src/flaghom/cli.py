@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=helptext)
         # each subcommand takes only the options it reads; the job echoes
-        # these defaults for the others
-        p.set_defaults(theta=None, theta_complement=None, max_degree=3, ring="z")
+        # these defaults for the others (max_degree None is read as 3)
+        p.set_defaults(theta=None, theta_complement=None, max_degree=None, ring="z")
         p.add_argument("family", choices=list("ABCDEFG"), type=str.upper)
         p.add_argument("rank", type=int)
         if name in ("weyl", "coeffs", "homology", "orientability"):
@@ -111,16 +111,19 @@ def jobspec_from_args(args: argparse.Namespace) -> JobSpec:
     if not indices <= set(range(rank)):
         raise ValueError("theta indices must lie in [1, rank]")
     theta = indices if args.theta_complement is None else frozenset(range(rank)) - indices
-    if args.max_degree < 0:
+    if args.max_degree is not None and args.ring == "z2":
+        raise ValueError("--max-degree does not apply to --ring z2, which reports every degree")
+    max_degree = 3 if args.max_degree is None else args.max_degree
+    if max_degree < 0:
         raise ValueError("max-degree must be >= 0")
-    if args.command == "homology" and args.ring == "z" and args.max_degree < 1:
+    if args.command == "homology" and args.ring == "z" and max_degree < 1:
         raise ValueError("homology needs --max-degree >= 1")
     return JobSpec(
         command=args.command,
         family=args.family,
         rank=rank,
         theta=theta,
-        max_degree=args.max_degree,
+        max_degree=max_degree,
         ring=args.ring.upper(),
         output_format=args.format,
     )

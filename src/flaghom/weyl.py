@@ -12,6 +12,10 @@ refused before it starts when |W| exceeds ``DEFAULT_SIZE_CAP``; a truncated
 group counts against the cap every element it stores.  Elements above
 ``max_length``, such as the covers of `WeylGroup.top_cell`, are built on
 demand by the same descent rule and memoised, without joining ``elements``.
+
+The Bruhat covers of w come from reflecting w's matrix in each inversion
+root beta (deleting a letter of a reduced word gives s_beta*w), not from
+multiplying out subwords.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .rootsys import WEYL_GROUP_ORDERS, Coeffs, RootSystem, is_positive, simple_root
+from .rootsys import WEYL_GROUP_ORDERS, Coeffs, RootSystem, is_positive, negate, simple_root
 
 Matrix = tuple[Coeffs, ...]  # columns: images of the simple roots
 
@@ -66,6 +70,12 @@ def _apply(matrix: Matrix, root: Coeffs) -> Coeffs:
     )
 
 
+def _reflect(beta: Coeffs, pairing: list[int], v: Coeffs) -> Coeffs:
+    """s_beta(v) = v - <v, beta^v> beta, with pairing[j] = <a_j, beta^v>."""
+    k = sum(p * x for p, x in zip(pairing, v))
+    return tuple(x - k * b for x, b in zip(v, beta))
+
+
 @dataclass(frozen=True)
 class CoveringPair:
     """w covers w_prime, with the deleted 1-based position I in w's
@@ -92,6 +102,10 @@ class WeylGroup:
         self.system = system
         self.max_length = max_length
         n = system.rank
+        C = system.cartan.cartan_matrix
+        # support of row i of C: the columns that w*s_i changes, and the
+        # coordinates that the pairing with a_i's coroot reads
+        self._moved = [tuple((j, C[i][j]) for j in range(n) if C[i][j]) for i in range(n)]
         self._identity_matrix: Matrix = tuple(simple_root(n, i) for i in range(n))
         identity = WeylElement((), self._identity_matrix, self._identity_matrix)
         self.elements: list[WeylElement] = [identity]
@@ -101,20 +115,22 @@ class WeylGroup:
     # -- construction -----------------------------------------------------
 
     def _right_mult(self, matrix: Matrix, i: int) -> Matrix:
-        """Matrix of w*s_i: column j becomes col_j - C[i][j]*col_i."""
-        C = self.system.cartan.cartan_matrix
-        n = self.system.rank
+        """Matrix of w*s_i: column j becomes col_j - C[i][j]*col_i, so only
+        column i and its diagram neighbours move."""
         cols = list(matrix)
-        ci = cols[i]
-        cols = [
-            tuple(cols[j][k] - C[i][j] * ci[k] for k in range(n))
-            for j in range(n)
-        ]
+        ci = matrix[i]
+        for j, c in self._moved[i]:
+            cols[j] = tuple(a - c * b for a, b in zip(matrix[j], ci))
         return tuple(cols)
 
     def _left_mult(self, i: int, matrix: Matrix) -> Matrix:
-        """Matrix of s_i*w: reflect every column."""
-        return tuple(self.system.reflect(i, col) for col in matrix)
+        """Matrix of s_i*w: reflect every column, which changes only its
+        entry i, by the pairing of the column with a_i's coroot."""
+        moved = self._moved[i]
+        return tuple(
+            col[:i] + (col[i] - sum(c * col[j] for j, c in moved),) + col[i + 1 :]
+            for col in matrix
+        )
 
     def _enumerate(self) -> None:
         """Breadth-first search by length; the whole group is refused up front
@@ -150,8 +166,11 @@ class WeylGroup:
         n = self.system.rank
         chain: list[tuple[int, Matrix, Matrix]] = []
         while True:
-            # j is a left descent iff w^{-1}(a_j) < 0
-            j = next(k for k in range(n) if not is_positive(inverse[k]))
+            # j is a left descent iff w^{-1}(a_j) < 0; an element of W reaches
+            # a stored one, at worst e, in at most l(w_0) steps
+            j = next((k for k in range(n) if not is_positive(inverse[k])), None)
+            if j is None or len(chain) == len(self.system.positive_roots):
+                raise AssertionError("matrix is not an element of W")
             chain.append((j, matrix, inverse))
             matrix = self._left_mult(j, matrix)
             below = self.by_matrix.get(matrix)
@@ -178,14 +197,6 @@ class WeylGroup:
             w = self._build(m, inverse)
         return w
 
-    def is_reduced(self, word: tuple[int, ...] | list[int]) -> bool:
-        m = self._identity_matrix
-        for i in word:
-            if not is_positive(m[i]):
-                return False
-            m = self._right_mult(m, i)
-        return True
-
     def inversion_set_of_word(self, word: tuple[int, ...] | list[int]) -> list[Coeffs]:
         """Pi_w in word order: beta_k = s_1 ... s_{k-1}(d_k)."""
         roots: list[Coeffs] = []
@@ -196,27 +207,40 @@ class WeylGroup:
         return roots
 
     def bruhat_covers(self, w: WeylElement) -> list[CoveringPair]:
-        """All covering pairs under w, each with its unique deleted position."""
-        word = w.word
-        inversions = self.inversion_set_of_word(word)
+        """All covering pairs under w, each with its unique deleted position.
+
+        Deleting letter I of w's word gives w' = s_beta*w, beta the I-th
+        inversion root; the shorter word is reduced iff s_beta keeps every
+        later inversion root positive, and w = w'*s_gamma with
+        gamma = -w^{-1}(beta).
+        """
+        C = self.system.cartan.cartan_matrix
+        n = self.system.rank
+        inversions = self.inversion_set_of_word(w.word)
         found: dict[Matrix, CoveringPair] = {}
-        for idx in range(len(word)):
-            subword = word[:idx] + word[idx + 1 :]
-            if not self.is_reduced(subword):
+        for idx, beta in enumerate(inversions):
+            c = self.system.coroot(beta)
+            pairing = [sum(c[i] * C[i][j] for i in range(n)) for j in range(n)]  # <a_j, beta^v>
+            if not all(
+                is_positive(_reflect(beta, pairing, later)) for later in inversions[idx + 1 :]
+            ):
                 continue
-            w_prime = self.element_from_word(subword)
-            beta = inversions[idx]
-            gamma = reduce(
-                lambda r, i: self.system.reflect(i, r),
-                word[idx + 1 :],
-                self.system.simple(word[idx]),
-            )
+            matrix = tuple(_reflect(beta, pairing, col) for col in w.matrix)
+            w_beta = _apply(w.inverse_matrix, beta)  # w^{-1}(beta) = -gamma
+            w_prime = self.by_matrix.get(matrix)
+            if w_prime is None:
+                # w'^{-1} = w^{-1}*s_beta: column j is w^{-1}(a_j - <a_j, beta^v> beta)
+                inverse = tuple(
+                    tuple(a - p * b for a, b in zip(col, w_beta))
+                    for col, p in zip(w.inverse_matrix, pairing)
+                )
+                w_prime = self._build(matrix, inverse)
+            gamma = negate(w_beta)
             assert is_positive(gamma), "gamma of a reduced deletion must be positive"
-            pair = CoveringPair(w, w_prime, idx + 1, beta, gamma)
-            if w_prime.matrix in found:
+            if matrix in found:
                 raise AssertionError("deleted position is not unique")
-            found[w_prime.matrix] = pair
-        return sorted(found.values(), key=lambda p: p.deleted_index)
+            found[matrix] = CoveringPair(w, w_prime, idx + 1, beta, gamma)
+        return list(found.values())
 
     def minimal_representatives(self, theta: frozenset[int] | set[int]) -> list[WeylElement]:
         """W^Theta among the enumerated elements, in enumeration order."""

@@ -1,6 +1,7 @@
 from functools import lru_cache
 
 from flaghom import WeylGroup, root_system
+from flaghom.rootsys import is_positive
 
 
 @lru_cache(maxsize=None)
@@ -19,3 +20,14 @@ def from_one_line(group, perm):
             return group.element_from_word(tuple(reversed(word)))
         perm[k], perm[k + 1] = perm[k + 1], perm[k]
         word.append(k)
+
+
+def is_reduced(group, word):
+    """Oracle: a word is reduced iff each letter i lengthens the prefix
+    before it, i.e. the prefix sends the simple root a_i to a positive root."""
+    m = group.identity.matrix
+    for i in word:
+        if not is_positive(m[i]):
+            return False
+        m = group._right_mult(m, i)
+    return True

@@ -153,14 +153,14 @@ def test_criterion_5_h2_closed_form():
 
 def test_criterion_6_orientability():
     def body():
-        for n in (3, 4, 5, 6, 7, 8):
+        for n in (3, 4, 5, 6, 7, 8, 9):
             g = cached_group("A", n - 1, 0)  # the top-cell route needs no enumeration
             for theta in _subsets(n - 1):
                 assert orientable_typeA(n, theta) == orientable_via_topcell(g, theta)
             projective = frozenset(range(1, n - 1))
             assert orientable_typeA(n, projective) == (n % 2 == 0)
 
-    _verdict(6, "orientability criterion matches the top-cell route, n<=8", body)
+    _verdict(6, "orientability criterion matches the top-cell route, n<=9", body)
 
 
 def test_criterion_7_mod2_structure():

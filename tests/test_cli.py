@@ -75,6 +75,7 @@ def test_homology_mod2(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["mod2_betti"] == [1, 2, 2, 1]
+    assert report["job"]["max_degree"] == 3  # the default echo, although z2 reads no degree
 
 
 def test_orientability_example(capsys):
@@ -210,6 +211,16 @@ def _one_line_error(capsys, argv, code):
 def test_homology_degree_limits_exit_2(capsys, max_degree, message):
     err = _one_line_error(capsys, ["homology", "A", "4", "--max-degree", max_degree], 2)
     assert err.startswith("flaghom: error: ") and message in err
+
+
+@pytest.mark.parametrize("max_degree", ["1", "0"])
+def test_z2_homology_refuses_max_degree(capsys, max_degree):
+    # z2 reports every degree, so a degree limit would be silently ignored
+    argv = ["homology", "A", "2", "--ring", "z2", "--max-degree", max_degree]
+    err = _one_line_error(capsys, argv, 2)
+    assert err == (
+        "flaghom: error: --max-degree does not apply to --ring z2, which reports every degree\n"
+    )
 
 
 @pytest.mark.parametrize("index", ["7", "0"])

@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import pytest
 
@@ -13,7 +14,7 @@ from flaghom import (
 from flaghom.rootsys import WEYL_GROUP_ORDERS, is_positive
 from flaghom.weyl import GroupTooLargeError, from_lehmer_code, lehmer_code
 
-from conftest import cached_group, from_one_line
+from conftest import cached_group, from_one_line, is_reduced
 
 
 def test_a2_enumeration():
@@ -105,6 +106,14 @@ def test_top_cell_is_longest_representative(family, rank):
     assert bare.elements == [bare.identity]
 
 
+def test_build_refuses_a_matrix_outside_w():
+    # -1 is not in W(A2); its descent walk would cycle without reaching e
+    g = WeylGroup(root_system("A", 2), max_length=0)
+    minus_one = tuple(tuple(-x for x in col) for col in g.identity.matrix)
+    with pytest.raises(AssertionError, match="not an element of W"):
+        g._build(minus_one, minus_one)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("G", 2)])
 def test_elements_on_demand_match_full_group(family, rank):
     full = cached_group(family, rank)
@@ -125,7 +134,7 @@ def test_elements_on_demand_match_full_group(family, rank):
 def test_words_are_reduced_and_canonical():
     g = cached_group("B", 3)
     for w in g.elements:
-        assert g.is_reduced(w.word)
+        assert is_reduced(g, w.word)
         assert len(w.word) == len(g.inversion_set_of_word(w.word))
 
 
@@ -138,7 +147,7 @@ def test_canonical_word_is_lex_min():
         reduced = [
             word
             for word in itertools.product(range(3), repeat=w.length)
-            if g.is_reduced(word) and g.element_from_word(word) == w
+            if is_reduced(g, word) and g.element_from_word(word) == w
         ]
         assert w.word == min(reduced) if reduced else w.word == ()
 
@@ -169,7 +178,7 @@ def subword_le(g, small, big_word):
     target = g.element_from_word(small.word)
     for positions in itertools.combinations(range(len(big_word)), small.length):
         word = tuple(big_word[p] for p in positions)
-        if g.is_reduced(word) and g.element_from_word(word) == target:
+        if is_reduced(g, word) and g.element_from_word(word) == target:
             return True
     return small.length == 0
 
@@ -206,6 +215,81 @@ def test_covering_pair_roots():
                 assert lhs == via_beta
                 via_gamma = p.w_prime.apply(_reflect_root(g.system, p.gamma, r))
                 assert lhs == via_gamma
+
+
+ORACLE_GROUPS = [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
+
+
+def _covers_by_subwords(g, w):
+    """Oracle: delete each letter of w's word, keep the reduced subwords,
+    multiply each out from the identity, and reflect the deleted simple root
+    over the suffix for gamma.  Pairs as (w', I, beta, gamma) in order of I."""
+    word = w.word
+    inversions = g.inversion_set_of_word(word)
+    found = {}
+    for idx in range(len(word)):
+        subword = word[:idx] + word[idx + 1 :]
+        if not is_reduced(g, subword):
+            continue
+        w_prime = g.element_from_word(subword)
+        gamma = reduce(
+            lambda r, i: g.system.reflect(i, r), word[idx + 1 :], g.system.simple(word[idx])
+        )
+        assert w_prime.matrix not in found
+        found[w_prime.matrix] = (w_prime, idx + 1, inversions[idx], gamma)
+    return sorted(found.values(), key=lambda pair: pair[1])
+
+
+def _cover_fields(w_prime, deleted_index, beta, gamma):
+    return (
+        w_prime.word, w_prime.matrix, w_prime.inverse_matrix, deleted_index, beta, gamma
+    )
+
+
+def _assert_covers_match_oracle(g, w, oracle_group):
+    pairs = g.bruhat_covers(w)
+    assert all(p.w is w for p in pairs)
+    assert [_cover_fields(p.w_prime, p.deleted_index, p.beta, p.gamma) for p in pairs] == [
+        _cover_fields(*pair) for pair in _covers_by_subwords(oracle_group, w)
+    ]
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+def test_covers_match_subword_oracle(family, rank):
+    g = cached_group(family, rank)
+    for w in g.elements:
+        _assert_covers_match_oracle(g, w, g)
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+def test_top_cell_covers_match_subword_oracle(family, rank):
+    """On a group that stores only e, most covers of a top cell are missing
+    from ``by_matrix`` and are built from the reflected inverse."""
+    full = cached_group(family, rank)
+    built = 0
+    for theta in _subsets(rank):
+        bare = WeylGroup(full.system, max_length=0)
+        top = bare.top_cell(theta)
+        before = len(bare.by_matrix)
+        _assert_covers_match_oracle(bare, top, full)
+        built += len(bare.by_matrix) - before
+    assert built > 0
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+def test_simple_products_match_dense_rules(family, rank):
+    """Oracle: w*s_i changes every column j to col_j - C[i][j]*col_i, and
+    s_i*w applies the simple reflection s_i to every column."""
+    g = cached_group(family, rank)
+    C = g.system.cartan.cartan_matrix
+    for w in g.elements:
+        m = w.matrix
+        for i in range(rank):
+            dense = tuple(
+                tuple(m[j][k] - C[i][j] * m[i][k] for k in range(rank)) for j in range(rank)
+            )
+            assert g._right_mult(m, i) == dense
+            assert g._left_mult(i, m) == tuple(g.system.reflect(i, col) for col in m)
 
 
 def _reflect_root(system, alpha, beta):
