@@ -10,6 +10,7 @@ failure, 2 usage error or a job outside the computable range.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -203,7 +204,7 @@ def report_coeffs(job: JobSpec) -> dict:
 def report_homology(job: JobSpec) -> dict:
     system = root_system(job.family, job.rank)
     if job.ring == "Z2":
-        betti = poincare_mod2(WeylGroup(system), job.theta)
+        betti = poincare_mod2(system, job.theta)
         return {
             "mod2_betti": betti,
             "homology": [{"degree": k, "mod2_dim": b} for k, b in enumerate(betti)],
@@ -265,11 +266,9 @@ def report_orientability(job: JobSpec) -> dict:
 
 
 def report_sweep(job: JobSpec) -> dict:
-    import itertools
-
-    # type A rows read only top cells; mod-2 Poincare rows read all of W
-    max_length = 0 if job.family == "A" else None
-    group = WeylGroup(root_system(job.family, job.rank), max_length=max_length)
+    # orientability reads top cells built on demand; mod-2 Betti numbers
+    # come from root heights
+    group = WeylGroup(root_system(job.family, job.rank), max_length=0)
     n = job.rank + 1
     rows = []
     for size in range(job.rank + 1):
@@ -287,7 +286,7 @@ def report_sweep(job: JobSpec) -> dict:
                     if h2 is not None:
                         row["h2_torsion_rank"] = len(h2.torsion)
             else:
-                row["mod2_betti"] = poincare_mod2(group, theta)
+                row["mod2_betti"] = poincare_mod2(group.system, theta)
             rows.append(row)
     return {"sweep": rows}
 

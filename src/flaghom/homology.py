@@ -4,7 +4,8 @@ Cells in degree k are the minimal coset representatives of length k; the
 boundary entries come from the coefficient engine.  Rows the low-degree sign
 table cannot sign are zeroed, and `homology_groups` certifies every degree
 that depends on them; in type A the table reaches degree 3, hence H_1 and H_2.
-Every entry is 0 or +-2, so `poincare_mod2` reads mod-2 homology off W^Theta.
+Every entry is 0 or +-2, so mod-2 homology is the length count of W^Theta,
+which `poincare_mod2` takes from root heights without building W.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .coeffs import coefficient
-from .rootsys import RootSystem
+from .rootsys import RootSystem, height
 from .weyl import WeylElement, WeylGroup, in_quotient
 
 
@@ -210,15 +211,40 @@ def homology_groups(complex_: ChainComplex, up_to_degree: int) -> list[HomologyG
     return out
 
 
-def poincare_mod2(group: WeylGroup, theta: frozenset[int] | set[int]) -> list[int]:
-    """Coefficients of the mod-2 Poincare polynomial (length generating
-    function of W^Theta); all boundary maps vanish mod 2."""
-    reps = group.minimal_representatives(frozenset(theta))
-    top = max(w.length for w in reps)
-    coeffs = [0] * (top + 1)
-    for w in reps:
-        coeffs[w.length] += 1
-    return coeffs
+def poincare_mod2(system: RootSystem, theta: frozenset[int] | set[int]) -> list[int]:
+    """Coefficients of the mod-2 Poincare polynomial, the length generating
+    function of W^Theta; all boundary maps vanish mod 2.
+
+    Macdonald's product W^Theta(q) = prod [ht b + 1]_q / [ht b]_q over the
+    positive roots b outside Theta's subsystem, telescoped by height into one
+    net power of each [k]_q and divided exactly.
+    """
+    theta = frozenset(theta)
+    by_height = [0] * (len(system.positive_roots) + 2)
+    for root in system.positive_roots:
+        if any(c for i, c in enumerate(root) if i not in theta):
+            by_height[height(root)] += 1
+    # roots of height k-1 put [k]_q above the line, roots of height k below
+    net = {k: by_height[k - 1] - by_height[k] for k in range(2, len(by_height))}
+    num = _product_of_q_integers(k for k, e in net.items() for _ in range(e))
+    den = _product_of_q_integers(k for k, e in net.items() for _ in range(-e))
+    # den has constant term 1: long division from the low degree up
+    quotient: list[int] = []
+    for i in range(len(num) - len(den) + 1):
+        quotient.append(num[i])
+        for j, d in enumerate(den):
+            num[i + j] -= quotient[i] * d
+    if any(num):
+        raise AssertionError("Macdonald product does not divide exactly")
+    return quotient
+
+
+def _product_of_q_integers(ks) -> list[int]:
+    """Coefficients of the product of [k]_q = 1 + q + ... + q^(k-1) over ks."""
+    poly = [1]
+    for k in ks:
+        poly = [sum(poly[max(0, i - k + 1) : i + 1]) for i in range(len(poly) + k - 1)]
+    return poly
 
 
 # -- type A closed forms --------------------------------------------------

@@ -9,9 +9,10 @@ the word of s_j*w, which is one length lower, so each word costs one lookup.
 `WeylGroup` enumerates W breadth-first up to ``max_length``.  Enumerating all
 of W (``max_length`` None or at least the number of positive roots) is
 refused before it starts when |W| exceeds ``DEFAULT_SIZE_CAP``; a truncated
-group counts against the cap every element it stores.  Elements above
-``max_length``, such as the covers of `WeylGroup.top_cell`, are built on
-demand by the same descent rule and memoised, without joining ``elements``.
+group counts against the cap every element it stores.  Only the ``weyl``
+command enumerates all of W.  Elements above ``max_length``, such as
+`WeylGroup.top_cell` and its covers, are built on demand by the same descent
+rule and memoised, without joining ``elements``.
 
 The Bruhat covers of w come from reflecting w's matrix in each inversion
 root beta (deleting a letter of a reduced word gives s_beta*w), not from
@@ -255,16 +256,16 @@ class WeylGroup:
         keeps w inside W^Theta can only stop at its top.
         """
         theta = self._checked_theta(theta)
-        matrix = inverse = self._identity_matrix
+        alpha = matrix = inverse = self._identity_matrix
         i = 0
         while i < self.system.rank:
-            if is_positive(inverse[i]):  # l(s_i*w) = l(w)+1
-                up = self._left_mult(i, matrix)
-                if in_quotient(up, theta):
-                    matrix, inverse = up, self._right_mult(inverse, i)
-                    i = 0
-                    continue
-            i += 1
+            # l(s_i*w) = l(w)+1, and s_i*w stays in W^Theta unless w sends
+            # some simple root of Theta to a_i (Deodhar's lemma)
+            if is_positive(inverse[i]) and all(matrix[k] != alpha[i] for k in theta):
+                matrix, inverse = self._left_mult(i, matrix), self._right_mult(inverse, i)
+                i = 0
+            else:
+                i += 1
         w = self.by_matrix.get(matrix)
         return w if w is not None else self._build(matrix, inverse)
 

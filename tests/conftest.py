@@ -31,3 +31,25 @@ def is_reduced(group, word):
             return False
         m = group._right_mult(m, i)
     return True
+
+
+def poincare_by_scan(group, theta):
+    """Oracle: the length counts of W^Theta, read off a fully enumerated group."""
+    reps = group.minimal_representatives(frozenset(theta))
+    coeffs = [0] * (max(w.length for w in reps) + 1)
+    for w in reps:
+        coeffs[w.length] += 1
+    return coeffs
+
+
+def orientable_by_root_sum(system, theta):
+    """Oracle: F_Theta is orientable iff, for every simple root a, the sum of
+    <b, a^v> over the positive roots b outside Theta's subsystem is even
+    (the component group M is generated by the m_a, and m_a acts on g_b by
+    the sign (-1)^<b, a^v>)."""
+    outside = [
+        b for b in system.positive_roots if any(c for i, c in enumerate(b) if i not in theta)
+    ]
+    return all(
+        sum(system.killing_number(i, b) for b in outside) % 2 == 0 for i in range(system.rank)
+    )

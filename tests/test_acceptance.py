@@ -179,7 +179,7 @@ def test_criterion_7_mod2_structure():
                     for row in rows
                     for x in row
                 )
-                betti = poincare_mod2(g, theta)
+                betti = poincare_mod2(g.system, theta)
                 # independent oracle: divide the full length generating
                 # function by that of the theta subgroup
                 subgroup = [0] * len(full)
@@ -226,7 +226,7 @@ def test_criterion_8_complex_sanity():
                         ]
                         assert all(x == 0 for x in composite)
                 groups = homology_groups(c, 2)
-                betti = poincare_mod2(g, theta)
+                betti = poincare_mod2(g.system, theta)
                 betti += [0] * (3 - len(betti))
                 for k in (0, 1, 2):
                     below = len(groups[k - 1].torsion) if k else 0

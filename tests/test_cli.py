@@ -248,7 +248,7 @@ def test_group_too_large_exits_2(capsys, monkeypatch):
     assert err == "flaghom: error: group too large: more than 50 elements\n"
 
 
-@pytest.mark.parametrize("command", ["weyl", "sweep"])
+@pytest.mark.parametrize("command", ["weyl"])
 def test_e7_refused_before_enumeration(capsys, monkeypatch, command):
     def refuse(*args):
         raise AssertionError("enumeration started")
@@ -256,6 +256,32 @@ def test_e7_refused_before_enumeration(capsys, monkeypatch, command):
     monkeypatch.setattr(WeylGroup, "_right_mult", refuse)
     err = _one_line_error(capsys, [command, "E", "7"], 2)
     assert err == "flaghom: error: group too large: more than 1000000 elements\n"
+
+
+def test_sweep_e7_enumerates_nothing(capsys, monkeypatch):
+    enumerate_ = WeylGroup._enumerate
+
+    def identity_only(self):
+        enumerate_(self)
+        assert self.elements == [self.identity], "sweep enumerated W"
+
+    monkeypatch.setattr(WeylGroup, "_enumerate", identity_only)
+    code, out = run_cli(capsys, "sweep", "E", "7", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["sweep"]
+    assert len(rows) == 128
+    assert rows[0]["mod2_betti"][:2] == [1, 7] and sum(rows[0]["mod2_betti"]) == 2903040
+
+
+def test_homology_e8_mod2_builds_no_group(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Weyl group was built")
+
+    monkeypatch.setattr(WeylGroup, "__init__", refuse)
+    code, out = run_cli(capsys, "homology", "E", "8", "--ring", "z2", "--format", "json")
+    assert code == 0
+    betti = json.loads(out)["mod2_betti"]
+    assert len(betti) == 121 and sum(betti) == 696729600
 
 
 def test_homology_e6_and_orientability_e8(capsys):
@@ -276,6 +302,15 @@ def test_route_disagreement_exits_1_naming_the_pair(capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "flaghom: cross-check failure: kappa routes disagree on "
         "w=[1] w'=[] I=1: [-1, 1]\n"
+    )
+
+
+def test_inexact_macdonald_product_exits_1(capsys, monkeypatch):
+    # heights shifted by one give [3]_q [4]_q / [2]_q^2 on A2, not a polynomial
+    monkeypatch.setattr("flaghom.homology.height", lambda root: sum(root) + 1)
+    assert main(["homology", "A", "2", "--ring", "z2"]) == 1
+    assert capsys.readouterr().err == (
+        "flaghom: cross-check failure: Macdonald product does not divide exactly\n"
     )
 
 

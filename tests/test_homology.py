@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flaghom import (
+    WeylGroup,
     build_complex,
     h1_h2_closed_form,
     homology_groups,
@@ -14,8 +15,9 @@ from flaghom import (
     smith_normal_form,
 )
 from flaghom.homology import SignIndeterminateError, _assert_d_squared_zero
+from flaghom.rootsys import WEYL_GROUP_ORDERS, root_system
 
-from conftest import cached_group
+from conftest import cached_group, orientable_by_root_sum, poincare_by_scan
 
 
 def subsets(rank):
@@ -281,6 +283,21 @@ def test_topcell_orientability_b2():
     assert orientable_via_topcell(g, frozenset()) == all(k % 2 for k in kappas)
 
 
+ROOT_SUM = [("A", n) for n in range(1, 8)] + [("B", n) for n in (2, 3, 4, 5)] + [
+    ("C", n) for n in (2, 3, 4, 5)
+] + [("D", n) for n in (4, 5, 6)] + [("E", 6), ("E", 7), ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("family,rank", ROOT_SUM)
+def test_root_sum_orientability_matches_top_cell(family, rank):
+    g = cached_group(family, rank, 0)
+    for theta in subsets(rank):
+        by_root_sum = orientable_by_root_sum(g.system, theta)
+        assert by_root_sum == orientable_via_topcell(g, theta)
+        if family == "A":
+            assert by_root_sum == orientable_typeA(rank + 1, theta)
+
+
 def test_point_is_orientable():
     g = cached_group("A", 2)
     assert orientable_via_topcell(g, frozenset({0, 1}))
@@ -292,15 +309,40 @@ def test_point_is_orientable():
 
 def test_poincare_mod2_a2():
     g = cached_group("A", 2)
-    assert poincare_mod2(g, frozenset()) == [1, 2, 2, 1]
-    assert poincare_mod2(g, frozenset({0})) == [1, 1, 1]  # RP^2
+    assert poincare_mod2(g.system, frozenset()) == [1, 2, 2, 1]
+    assert poincare_mod2(g.system, frozenset({0})) == [1, 1, 1]  # RP^2
+
+
+SCANNED = [("A", n) for n in range(1, 7)] + [("B", n) for n in (2, 3, 4)] + [
+    ("C", n) for n in (2, 3, 4, 5)
+] + [("D", n) for n in (3, 4, 5)] + [("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("family,rank", SCANNED)
+def test_poincare_matches_scan_of_w_theta(family, rank):
+    g = cached_group(family, rank)
+    for theta in subsets(rank):
+        assert poincare_mod2(g.system, theta) == poincare_by_scan(g, theta)
+
+
+@pytest.mark.parametrize("rank", [6, 7, 8])
+def test_poincare_e_family_without_scan(rank):
+    system = root_system("E", rank)
+    bare = WeylGroup(system, max_length=0)
+    for theta in subsets(rank):
+        betti = poincare_mod2(system, theta)
+        assert betti == betti[::-1]
+        assert len(betti) - 1 == bare.top_cell(theta).length
+        assert betti[1:2] == ([rank - len(theta)] if len(theta) < rank else [])
+    assert sum(poincare_mod2(system, frozenset())) == WEYL_GROUP_ORDERS["E"](rank)
+    assert bare.elements == [bare.identity]
 
 
 def test_poincare_product_rule():
     g = cached_group("A", 3)
-    full = poincare_mod2(g, frozenset())
+    full = poincare_mod2(g.system, frozenset())
     for theta in subsets(3):
-        quotient = poincare_mod2(g, theta)
+        quotient = poincare_mod2(g.system, theta)
         subgroup = [0] * (max(len(w.word) for w in g.elements) + 1)
         for w in g.elements:
             if all(letter in theta for letter in w.word):
@@ -319,7 +361,7 @@ def test_universal_coefficients_low_degrees():
         for theta in subsets(n - 1):
             c = build_complex(g, theta, 3)
             groups = homology_groups(c, 2)
-            betti = poincare_mod2(g, theta)
+            betti = poincare_mod2(g.system, theta)
             betti += [0] * (3 - len(betti))
             for k in (0, 1, 2):
                 torsion_below = len(groups[k - 1].torsion) if k else 0
