@@ -170,15 +170,9 @@ def report_weyl(job: JobSpec) -> dict:
 
 def report_coeffs(job: JobSpec) -> dict:
     group = WeylGroup(root_system(job.family, job.rank), max_length=job.max_degree)
-    reps = group.minimal_representatives(job.theta)
-    rep_set = {w.matrix for w in reps}
     pairs = []
-    for w in reps:
-        if not 1 <= w.length <= job.max_degree:
-            continue
-        for pair in group.bruhat_covers(w):
-            if pair.w_prime.matrix not in rep_set:
-                continue
+    for w in group.minimal_representatives(job.theta):
+        for pair in group.bruhat_covers(w, job.theta):
             rep = kappa_report(group, pair)
             pairs.append(
                 {

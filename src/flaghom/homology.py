@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .coeffs import coefficient
+from .coeffs import coefficient, kappa_via_height
 from .rootsys import RootSystem, height
-from .weyl import WeylElement, WeylGroup, in_quotient
+from .weyl import WeylElement, WeylGroup
 
 
 class SignIndeterminateError(ValueError):
@@ -30,8 +30,6 @@ class HomologyGroup:
 
 @dataclass
 class ChainComplex:
-    system: RootSystem
-    theta: frozenset[int]
     cells: dict[int, list[WeylElement]]
     boundaries: dict[int, list[list[int]]]  # rows: k-cells, cols: (k-1)-cells
     max_degree: int
@@ -52,11 +50,8 @@ def build_complex(
     """
     if group.max_length is not None and group.max_length < max_degree:
         raise ValueError("group is enumerated below the requested degree")
-    theta = frozenset(theta)
-    reps = group.minimal_representatives(theta)
     cells: dict[int, list[WeylElement]] = {k: [] for k in range(max_degree + 1)}
-    cell_set = {w.matrix for w in reps}
-    for w in reps:
+    for w in group.minimal_representatives(theta):
         if w.length <= max_degree:
             cells[w.length].append(w)
 
@@ -70,9 +65,7 @@ def build_complex(
         zeroed: list[int] = []
         for row_i, w in enumerate(cells[k]):
             row = [0] * len(cells[k - 1])
-            for pair in group.bruhat_covers(w):
-                if pair.w_prime.matrix not in cell_set:
-                    continue
+            for pair in group.bruhat_covers(w, theta):
                 magnitude, sign = coefficient(group, pair)
                 if magnitude and sign is None:
                     row = [0] * len(cells[k - 1])
@@ -85,9 +78,7 @@ def build_complex(
         if zeroed:
             indeterminate[k] = zeroed
 
-    complex_ = ChainComplex(
-        group.system, theta, cells, boundaries, max_degree, indeterminate
-    )
+    complex_ = ChainComplex(cells, boundaries, max_degree, indeterminate)
     _assert_d_squared_zero(complex_)
     return complex_
 
@@ -172,7 +163,6 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], int]:
             continue
         factors.append(p)
         top += 1
-    # enforce divisibility chain ordering (already divides by construction)
     return factors, len(factors)
 
 
@@ -190,13 +180,13 @@ def homology_groups(complex_: ChainComplex, up_to_degree: int) -> list[HomologyG
     if complex_.max_degree < up_to_degree + 1:
         raise ValueError("complex not built deep enough")
     out = []
+    rank_k = 0  # rank of d_k, carried over from the degree below
     for k in range(up_to_degree + 1):
         if k in complex_.indeterminate_rows:
             raise SignIndeterminateError(
                 f"cannot compute H_{k}: degree {k} has sign-indeterminate rows"
             )
         n_k = len(complex_.cells[k])
-        rank_k = smith_normal_form(complex_.boundaries[k])[1] if k >= 1 else 0
         factors_k1, rank_k1 = smith_normal_form(complex_.boundaries[k + 1])
         if k + 1 in complex_.indeterminate_rows:
             kernel_rank = n_k - rank_k
@@ -208,6 +198,7 @@ def homology_groups(complex_: ChainComplex, up_to_degree: int) -> list[HomologyG
         free = n_k - rank_k - rank_k1
         torsion = tuple(f for f in factors_k1 if f > 1)
         out.append(HomologyGroup(free, torsion))
+        rank_k = rank_k1
     return out
 
 
@@ -290,11 +281,7 @@ def orientable_typeA(n: int, theta: frozenset[int] | set[int]) -> bool:
 def orientable_via_topcell(group: WeylGroup, theta: frozenset[int] | set[int]) -> bool:
     """Sign-independent orientability: the top cell of W^Theta has vanishing
     boundary iff kappa is odd for every cover staying inside W^Theta."""
-    from .coeffs import kappa_via_height
-
-    theta = frozenset(theta)
     return all(
         kappa_via_height(group, pair) % 2 == 1
-        for pair in group.bruhat_covers(group.top_cell(theta))
-        if in_quotient(pair.w_prime.matrix, theta)
+        for pair in group.bruhat_covers(group.top_cell(theta), theta)
     )

@@ -16,7 +16,10 @@ rule and memoised, without joining ``elements``.
 
 The Bruhat covers of w come from reflecting w's matrix in each inversion
 root beta (deleting a letter of a reduced word gives s_beta*w), not from
-multiplying out subwords.
+multiplying out subwords.  They are asked for per theta: a cover outside
+W^Theta is dropped before it is built, and the descent chain of an element
+of W^Theta stays in W^Theta, so the elements built on demand for a question
+about W^Theta all lie in W^Theta.
 """
 
 from __future__ import annotations
@@ -207,18 +210,23 @@ class WeylGroup:
             prefix = self._right_mult(prefix, i)
         return roots
 
-    def bruhat_covers(self, w: WeylElement) -> list[CoveringPair]:
-        """All covering pairs under w, each with its unique deleted position.
+    def bruhat_covers(
+        self, w: WeylElement, theta: frozenset[int] | set[int]
+    ) -> list[CoveringPair]:
+        """The covering pairs under w whose w' lies in W^Theta, each with its
+        unique deleted position.
 
         Deleting letter I of w's word gives w' = s_beta*w, beta the I-th
         inversion root; the shorter word is reduced iff s_beta keeps every
         later inversion root positive, and w = w'*s_gamma with
-        gamma = -w^{-1}(beta).
+        gamma = -w^{-1}(beta).  A w' outside W^Theta is dropped before it is
+        looked up or built, so the memo gains only elements of W^Theta.
         """
         C = self.system.cartan.cartan_matrix
         n = self.system.rank
         inversions = self.inversion_set_of_word(w.word)
-        found: dict[Matrix, CoveringPair] = {}
+        seen: set[Matrix] = set()
+        found: list[CoveringPair] = []
         for idx, beta in enumerate(inversions):
             c = self.system.coroot(beta)
             pairing = [sum(c[i] * C[i][j] for i in range(n)) for j in range(n)]  # <a_j, beta^v>
@@ -228,6 +236,13 @@ class WeylGroup:
                 continue
             matrix = tuple(_reflect(beta, pairing, col) for col in w.matrix)
             w_beta = _apply(w.inverse_matrix, beta)  # w^{-1}(beta) = -gamma
+            gamma = negate(w_beta)
+            assert is_positive(gamma), "gamma of a reduced deletion must be positive"
+            if matrix in seen:
+                raise AssertionError("deleted position is not unique")
+            seen.add(matrix)
+            if not in_quotient(matrix, theta):
+                continue
             w_prime = self.by_matrix.get(matrix)
             if w_prime is None:
                 # w'^{-1} = w^{-1}*s_beta: column j is w^{-1}(a_j - <a_j, beta^v> beta)
@@ -236,12 +251,8 @@ class WeylGroup:
                     for col, p in zip(w.inverse_matrix, pairing)
                 )
                 w_prime = self._build(matrix, inverse)
-            gamma = negate(w_beta)
-            assert is_positive(gamma), "gamma of a reduced deletion must be positive"
-            if matrix in found:
-                raise AssertionError("deleted position is not unique")
-            found[matrix] = CoveringPair(w, w_prime, idx + 1, beta, gamma)
-        return list(found.values())
+            found.append(CoveringPair(w, w_prime, idx + 1, beta, gamma))
+        return found
 
     def minimal_representatives(self, theta: frozenset[int] | set[int]) -> list[WeylElement]:
         """W^Theta among the enumerated elements, in enumeration order."""

@@ -43,7 +43,7 @@ def _all_pairs(group, max_length=None):
     for w in group.elements:
         if w.length == 0 or (max_length is not None and w.length > max_length):
             continue
-        yield from group.bruhat_covers(w)
+        yield from group.bruhat_covers(w, frozenset())
 
 
 def _subsets(rank):
@@ -99,7 +99,7 @@ def test_criterion_3_low_degree_boundary_table():
     def signed_boundary(group, n, spectrum):
         w = from_one_line(group, from_code_spectrum(spectrum, n))
         out = {}
-        for pair in group.bruhat_covers(w):
+        for pair in group.bruhat_covers(w, frozenset()):
             magnitude, sign = coefficient(group, pair)
             if magnitude:
                 assert sign is not None

@@ -23,7 +23,7 @@ def all_pairs(group, max_length=None):
     for w in group.elements:
         if w.length == 0 or (max_length is not None and w.length > max_length):
             continue
-        yield from group.bruhat_covers(w)
+        yield from group.bruhat_covers(w, frozenset())
 
 
 def test_kappa_one_when_last_letter_deleted():
@@ -38,7 +38,7 @@ def test_kappa_one_when_last_letter_deleted():
 def test_kappa_sigma_worked_example():
     g = cached_group("A", 2)
     w = g.element_from_word((0, 1))
-    pair = next(p for p in g.bruhat_covers(w) if p.w_prime.word == (1,))
+    pair = next(p for p in g.bruhat_covers(w, frozenset()) if p.w_prime.word == (1,))
     assert pair.deleted_index == 1
     assert kappa_via_sigma(g, pair) == 2
     # equals the height of (s2 a1)^v = ht(a1 + a2) = 2
@@ -48,12 +48,12 @@ def test_kappa_sigma_worked_example():
 def test_kappa_phi_worked_examples():
     g = cached_group("A", 2)
     w = g.element_from_word((0, 1))
-    pair = next(p for p in g.bruhat_covers(w) if p.w_prime.word == (1,))
+    pair = next(p for p in g.bruhat_covers(w, frozenset()) if p.w_prime.word == (1,))
     assert pair.beta == (1, 0)
     assert kappa_via_phi(g, pair) == 2
     for i in range(2):
         s = g.element_from_word((i,))
-        (p,) = g.bruhat_covers(s)
+        (p,) = g.bruhat_covers(s, frozenset())
         assert p.w_prime == g.identity
         assert kappa_via_phi(g, p) == 1
 
@@ -150,7 +150,7 @@ def boundary_of(group, n, spectrum):
 
     w = from_one_line(group, from_code_spectrum(spectrum, n))
     out = {}
-    for pair in group.bruhat_covers(w):
+    for pair in group.bruhat_covers(w, frozenset()):
         c = _signed(group, pair)
         if c:
             out[code_spectrum(one_line(pair.w_prime.word, n))] = c

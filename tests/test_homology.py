@@ -155,6 +155,25 @@ def test_a3_full_flag_homology():
     assert (h2.free_rank, h2.torsion) == (0, (2, 2))
 
 
+@pytest.mark.parametrize(
+    "family,rank,theta,max_degree", [("A", 3, frozenset(), 3), ("A", 4, frozenset({1, 2, 3}), 5)]
+)
+def test_homology_reduces_each_boundary_once(monkeypatch, family, rank, theta, max_degree):
+    """rank(d_{k+1}) is carried into degree k+1, so d_1 .. d_{up_to + 1} are
+    each reduced once, in order."""
+    c = build_complex(cached_group(family, rank, max_degree), theta, max_degree)
+    reduced = []
+
+    def counting(matrix):
+        reduced.append(matrix)
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr("flaghom.homology.smith_normal_form", counting)
+    homology_groups(c, max_degree - 1)
+    assert len(reduced) == max_degree
+    assert all(m is c.boundaries[k] for k, m in enumerate(reduced, start=1))
+
+
 def test_homology_requires_depth():
     g = cached_group("A", 2)
     c = build_complex(g, frozenset(), 2)
@@ -279,7 +298,7 @@ def test_topcell_orientability_b2():
     from flaghom import kappa_via_height
 
     top = max(g.elements, key=lambda w: w.length)
-    kappas = [kappa_via_height(g, p) for p in g.bruhat_covers(top)]
+    kappas = [kappa_via_height(g, p) for p in g.bruhat_covers(top, frozenset())]
     assert orientable_via_topcell(g, frozenset()) == all(k % 2 for k in kappas)
 
 

@@ -12,7 +12,7 @@ from flaghom import (
     root_system,
 )
 from flaghom.rootsys import WEYL_GROUP_ORDERS, is_positive
-from flaghom.weyl import GroupTooLargeError, from_lehmer_code, lehmer_code
+from flaghom.weyl import GroupTooLargeError, from_lehmer_code, in_quotient, lehmer_code
 
 from conftest import cached_group, from_one_line, is_reduced
 
@@ -186,10 +186,10 @@ def subword_le(g, small, big_word):
 def test_bruhat_covers_examples():
     g = cached_group("A", 2)
     w = g.element_from_word((0, 1))
-    covered = {p.w_prime.word for p in g.bruhat_covers(w)}
+    covered = {p.w_prime.word for p in g.bruhat_covers(w, frozenset())}
     assert covered == {(0,), (1,)}
     w0 = max(g.elements, key=lambda w: w.length)
-    assert len(g.bruhat_covers(w0)) == 2
+    assert len(g.bruhat_covers(w0, frozenset())) == 2
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])
@@ -201,13 +201,13 @@ def test_bruhat_covers_against_subword_oracle(family, rank):
             for u in g.elements
             if u.length == w.length - 1 and subword_le(g, u, w.word)
         }
-        assert {p.w_prime.word for p in g.bruhat_covers(w)} == expected
+        assert {p.w_prime.word for p in g.bruhat_covers(w, frozenset())} == expected
 
 
 def test_covering_pair_roots():
     g = cached_group("B", 3)
     for w in g.elements:
-        for p in g.bruhat_covers(w):
+        for p in g.bruhat_covers(w, frozenset()):
             # w = s_beta * w' and w = w' * s_gamma as actions on every root
             for r in g.system.positive_roots:
                 lhs = p.w.apply(r)
@@ -247,7 +247,7 @@ def _cover_fields(w_prime, deleted_index, beta, gamma):
 
 
 def _assert_covers_match_oracle(g, w, oracle_group):
-    pairs = g.bruhat_covers(w)
+    pairs = g.bruhat_covers(w, frozenset())
     assert all(p.w is w for p in pairs)
     assert [_cover_fields(p.w_prime, p.deleted_index, p.beta, p.gamma) for p in pairs] == [
         _cover_fields(*pair) for pair in _covers_by_subwords(oracle_group, w)
@@ -274,6 +274,34 @@ def test_top_cell_covers_match_subword_oracle(family, rank):
         _assert_covers_match_oracle(bare, top, full)
         built += len(bare.by_matrix) - before
     assert built > 0
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+def test_theta_covers_are_filtered_covers(family, rank):
+    """Asking for theta's covers keeps exactly the unfiltered covers whose w'
+    lies in W^Theta, in the same order and with the same fields."""
+    g = cached_group(family, rank)
+    unfiltered = {w: g.bruhat_covers(w, frozenset()) for w in g.elements}
+
+    def fields(p):
+        return (p.w,) + _cover_fields(p.w_prime, p.deleted_index, p.beta, p.gamma)
+
+    for theta in _subsets(rank):
+        for w in g.minimal_representatives(theta):
+            assert [fields(p) for p in g.bruhat_covers(w, theta)] == [
+                fields(p) for p in unfiltered[w] if in_quotient(p.w_prime.matrix, theta)
+            ]
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+def test_top_cell_memo_stays_in_quotient(family, rank):
+    """A cover that leaves W^Theta is dropped before it is built, so the
+    on-demand memo holds only elements of W^Theta."""
+    system = cached_group(family, rank, 0).system
+    for theta in _subsets(rank):
+        bare = WeylGroup(system, max_length=0)
+        bare.bruhat_covers(bare.top_cell(theta), theta)
+        assert all(in_quotient(m, theta) for m in bare.by_matrix)
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
@@ -328,7 +356,7 @@ def test_covers_oracle_matches_word_covers(n):
     word_covers = {
         (line[p.w], line[p.w_prime])
         for w in g.elements
-        for p in g.bruhat_covers(w)
+        for p in g.bruhat_covers(w, frozenset())
     }
     oracle_covers = set()
     for w in g.elements:
