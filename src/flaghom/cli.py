@@ -26,7 +26,7 @@ from .homology import (
     orientable_via_topcell,
     poincare_mod2,
 )
-from .rootsys import RANK_BOUNDS, height, root_system
+from .rootsys import POSITIVE_ROOT_COUNTS, RANK_BOUNDS, height, root_system
 from .weyl import GroupTooLargeError, WeylGroup, one_line
 
 SCHEMA_VERSION = "2"
@@ -117,6 +117,10 @@ def jobspec_from_args(args: argparse.Namespace) -> JobSpec:
     max_degree = 3 if args.max_degree is None else args.max_degree
     if max_degree < 0:
         raise ValueError("max-degree must be >= 0")
+    # no cell lies above |Phi+|, and homology up to it reads one degree more
+    top = POSITIVE_ROOT_COUNTS[args.family](rank) + 1
+    if args.max_degree is not None and max_degree > top:
+        raise ValueError(f"max-degree must be <= {top}, the number of positive roots + 1")
     if args.command == "homology" and args.ring == "z" and max_degree < 1:
         raise ValueError("homology needs --max-degree >= 1")
     return JobSpec(
@@ -161,17 +165,18 @@ def report_roots(job: JobSpec) -> dict:
 
 def report_weyl(job: JobSpec) -> dict:
     group = WeylGroup(root_system(job.family, job.rank))
+    order = len(group.minimal_representatives(frozenset()))
     reps = group.minimal_representatives(job.theta)
     return {
-        "order": len(group.elements),
+        "order": order,
         "cells": [_cell_out(job, w) for w in reps],
     }
 
 
 def report_coeffs(job: JobSpec) -> dict:
-    group = WeylGroup(root_system(job.family, job.rank), max_length=job.max_degree)
+    group = WeylGroup(root_system(job.family, job.rank))
     pairs = []
-    for w in group.minimal_representatives(job.theta):
+    for w in group.minimal_representatives(job.theta, job.max_degree):
         for pair in group.bruhat_covers(w, job.theta):
             rep = kappa_report(group, pair)
             pairs.append(
@@ -203,7 +208,7 @@ def report_homology(job: JobSpec) -> dict:
             "mod2_betti": betti,
             "homology": [{"degree": k, "mod2_dim": b} for k, b in enumerate(betti)],
         }
-    group = WeylGroup(system, max_length=job.max_degree)
+    group = WeylGroup(system)
     complex_ = build_complex(group, job.theta, job.max_degree)
     groups = homology_groups(complex_, job.max_degree - 1)
     out = {
@@ -250,7 +255,7 @@ def _orientable_typeA_checked(n: int, theta: frozenset[int], top_cell: bool) -> 
 
 
 def report_orientability(job: JobSpec) -> dict:
-    group = WeylGroup(root_system(job.family, job.rank), max_length=0)
+    group = WeylGroup(root_system(job.family, job.rank))
     top_cell = orientable_via_topcell(group, job.theta)
     orientable: dict = {"top_cell": top_cell}
     if job.family == "A":
@@ -260,9 +265,7 @@ def report_orientability(job: JobSpec) -> dict:
 
 
 def report_sweep(job: JobSpec) -> dict:
-    # orientability reads top cells built on demand; mod-2 Betti numbers
-    # come from root heights
-    group = WeylGroup(root_system(job.family, job.rank), max_length=0)
+    group = WeylGroup(root_system(job.family, job.rank))
     n = job.rank + 1
     rows = []
     for size in range(job.rank + 1):

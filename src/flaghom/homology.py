@@ -1,11 +1,12 @@
 """Cellular chain complexes of partial flag manifolds and their homology.
 
-Cells in degree k are the minimal coset representatives of length k; the
-boundary entries come from the coefficient engine.  Rows the low-degree sign
-table cannot sign are zeroed, and `homology_groups` certifies every degree
-that depends on them; in type A the table reaches degree 3, hence H_1 and H_2.
-Every entry is 0 or +-2, so mod-2 homology is the length count of W^Theta,
-which `poincare_mod2` takes from root heights without building W.
+Cells in degree k are the minimal coset representatives of length k, walked
+only up to the requested degree; the boundary entries come from the
+coefficient engine.  Rows the low-degree sign table cannot sign are zeroed,
+and `homology_groups` certifies every degree that depends on them; in type A
+the table reaches degree 3, hence H_1 and H_2.  Every entry is 0 or +-2, so
+mod-2 homology is the length count of W^Theta, which `rootsys.poincare_mod2`
+takes from root heights without building W.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .coeffs import coefficient, kappa_via_height
-from .rootsys import RootSystem, height
+from .rootsys import poincare_mod2  # noqa: F401  (the CLI and the package import it here)
 from .weyl import WeylElement, WeylGroup
 
 
@@ -48,12 +49,9 @@ def build_complex(
     `homology_groups` re-verifies that before trusting a degree that depends
     on such a matrix.
     """
-    if group.max_length is not None and group.max_length < max_degree:
-        raise ValueError("group is enumerated below the requested degree")
     cells: dict[int, list[WeylElement]] = {k: [] for k in range(max_degree + 1)}
-    for w in group.minimal_representatives(theta):
-        if w.length <= max_degree:
-            cells[w.length].append(w)
+    for w in group.minimal_representatives(theta, max_degree):
+        cells[w.length].append(w)
 
     index: dict[int, dict] = {
         k: {w.matrix: i for i, w in enumerate(cells[k])} for k in cells
@@ -200,42 +198,6 @@ def homology_groups(complex_: ChainComplex, up_to_degree: int) -> list[HomologyG
         out.append(HomologyGroup(free, torsion))
         rank_k = rank_k1
     return out
-
-
-def poincare_mod2(system: RootSystem, theta: frozenset[int] | set[int]) -> list[int]:
-    """Coefficients of the mod-2 Poincare polynomial, the length generating
-    function of W^Theta; all boundary maps vanish mod 2.
-
-    Macdonald's product W^Theta(q) = prod [ht b + 1]_q / [ht b]_q over the
-    positive roots b outside Theta's subsystem, telescoped by height into one
-    net power of each [k]_q and divided exactly.
-    """
-    theta = frozenset(theta)
-    by_height = [0] * (len(system.positive_roots) + 2)
-    for root in system.positive_roots:
-        if any(c for i, c in enumerate(root) if i not in theta):
-            by_height[height(root)] += 1
-    # roots of height k-1 put [k]_q above the line, roots of height k below
-    net = {k: by_height[k - 1] - by_height[k] for k in range(2, len(by_height))}
-    num = _product_of_q_integers(k for k, e in net.items() for _ in range(e))
-    den = _product_of_q_integers(k for k, e in net.items() for _ in range(-e))
-    # den has constant term 1: long division from the low degree up
-    quotient: list[int] = []
-    for i in range(len(num) - len(den) + 1):
-        quotient.append(num[i])
-        for j, d in enumerate(den):
-            num[i + j] -= quotient[i] * d
-    if any(num):
-        raise AssertionError("Macdonald product does not divide exactly")
-    return quotient
-
-
-def _product_of_q_integers(ks) -> list[int]:
-    """Coefficients of the product of [k]_q = 1 + q + ... + q^(k-1) over ks."""
-    poly = [1]
-    for k in ks:
-        poly = [sum(poly[max(0, i - k + 1) : i + 1]) for i in range(len(poly) + k - 1)]
-    return poly
 
 
 # -- type A closed forms --------------------------------------------------

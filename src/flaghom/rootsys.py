@@ -3,6 +3,7 @@
 Roots are plain integer coefficient tuples over the simple basis.  Simple
 roots are indexed 0..rank-1 throughout the library; positions inside words
 and sequences are 1-based where the underlying formulas are (see `p_sum`).
+`poincare_mod2` counts W^Theta by length from the root heights alone.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial, gcd
+from math import gcd
 
 Coeffs = tuple[int, ...]
 
@@ -23,17 +24,6 @@ POSITIVE_ROOT_COUNTS = {
     "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
     "F": lambda n: 24,
     "G": lambda n: 6,
-}
-
-#: order of the Weyl group per family, as a function of the rank
-WEYL_GROUP_ORDERS = {
-    "A": lambda n: factorial(n + 1),
-    "B": lambda n: 2**n * factorial(n),
-    "C": lambda n: 2**n * factorial(n),
-    "D": lambda n: 2 ** (n - 1) * factorial(n),
-    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
-    "F": lambda n: 1152,
-    "G": lambda n: 12,
 }
 
 RANK_BOUNDS = {
@@ -321,3 +311,39 @@ def build_root_system(cartan: CartanData) -> RootSystem:
 def root_system(family: str, rank: int) -> RootSystem:
     """Convenience constructor from (family, rank), built once per process."""
     return build_root_system(CartanData.for_family(family, rank))
+
+
+def poincare_mod2(system: RootSystem, theta: frozenset[int] | set[int]) -> list[int]:
+    """Number of elements of W^Theta of each length, which is also the mod-2
+    Poincare polynomial of F_Theta: every boundary entry is 0 or +-2.
+
+    Macdonald's product W^Theta(q) = prod [ht b + 1]_q / [ht b]_q over the
+    positive roots b outside Theta's subsystem, telescoped by height into one
+    net power of each [k]_q and divided exactly.
+    """
+    theta = frozenset(theta)
+    by_height = [0] * (len(system.positive_roots) + 2)
+    for root in system.positive_roots:
+        if any(c for i, c in enumerate(root) if i not in theta):
+            by_height[height(root)] += 1
+    # roots of height k-1 put [k]_q above the line, roots of height k below
+    net = {k: by_height[k - 1] - by_height[k] for k in range(2, len(by_height))}
+    num = _product_of_q_integers(k for k, e in net.items() for _ in range(e))
+    den = _product_of_q_integers(k for k, e in net.items() for _ in range(-e))
+    # den has constant term 1: long division from the low degree up
+    quotient: list[int] = []
+    for i in range(len(num) - len(den) + 1):
+        quotient.append(num[i])
+        for j, d in enumerate(den):
+            num[i + j] -= quotient[i] * d
+    if any(num):
+        raise AssertionError("Macdonald product does not divide exactly")
+    return quotient
+
+
+def _product_of_q_integers(ks) -> list[int]:
+    """Coefficients of the product of [k]_q = 1 + q + ... + q^(k-1) over ks."""
+    poly = [1]
+    for k in ks:
+        poly = [sum(poly[max(0, i - k + 1) : i + 1]) for i in range(len(poly) + k - 1)]
+    return poly

@@ -6,13 +6,13 @@ faithful finite representation.  Words are canonical (lexicographically
 smallest reduced): the word of w is its smallest left descent j followed by
 the word of s_j*w, which is one length lower, so each word costs one lookup.
 
-`WeylGroup` enumerates W breadth-first up to ``max_length``.  Enumerating all
-of W (``max_length`` None or at least the number of positive roots) is
-refused before it starts when |W| exceeds ``DEFAULT_SIZE_CAP``; a truncated
-group counts against the cap every element it stores.  Only the ``weyl``
-command enumerates all of W.  Elements above ``max_length``, such as
-`WeylGroup.top_cell` and its covers, are built on demand by the same descent
-rule and memoised, without joining ``elements``.
+A `WeylGroup` starts from e and builds the elements a query reads by this
+rule, memoised in one dict ``by_matrix``.  W^Theta up to a length, the cells
+of F_Theta, is one walk up the left weak order; `WeylGroup.top_cell` walks one
+chain of it, under the same step test (Deodhar's lemma).  Macdonald's count
+(`rootsys.poincare_mod2`) refuses a walk above ``DEFAULT_SIZE_CAP`` before it
+builds anything and must equal its level sizes after; elements built outside
+a walk count against the cap as they are stored.
 
 The Bruhat covers of w come from reflecting w's matrix in each inversion
 root beta (deleting a letter of a reduced word gives s_beta*w), not from
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .rootsys import WEYL_GROUP_ORDERS, Coeffs, RootSystem, is_positive, negate, simple_root
+from .rootsys import Coeffs, RootSystem, is_positive, negate, poincare_mod2, simple_root
 
 Matrix = tuple[Coeffs, ...]  # columns: images of the simple roots
 
@@ -35,7 +35,7 @@ DEFAULT_SIZE_CAP = 10**6
 
 
 class GroupTooLargeError(ValueError):
-    """Raised when full enumeration would exceed the configured cap."""
+    """Raised when a query would store more elements than the cap."""
 
 
 def _check_size(size: int) -> None:
@@ -99,12 +99,11 @@ class CoveringPair:
 
 
 class WeylGroup:
-    """Weyl group of a root system, enumerated up to ``max_length`` (all of W
-    when None); elements above it are built on demand and memoised."""
+    """Weyl group of a root system.  It holds e alone at first; the elements
+    that queries read are built on demand and memoised in ``by_matrix``."""
 
-    def __init__(self, system: RootSystem, max_length: int | None = None):
+    def __init__(self, system: RootSystem):
         self.system = system
-        self.max_length = max_length
         n = system.rank
         C = system.cartan.cartan_matrix
         # support of row i of C: the columns that w*s_i changes, and the
@@ -112,9 +111,12 @@ class WeylGroup:
         self._moved = [tuple((j, C[i][j]) for j in range(n) if C[i][j]) for i in range(n)]
         self._identity_matrix: Matrix = tuple(simple_root(n, i) for i in range(n))
         identity = WeylElement((), self._identity_matrix, self._identity_matrix)
-        self.elements: list[WeylElement] = [identity]
         self.by_matrix: dict[Matrix, WeylElement] = {identity.matrix: identity}
-        self._enumerate()
+
+    @property
+    def elements(self):
+        """Every element built so far: a read-only view of the memo."""
+        return self.by_matrix.values()
 
     # -- construction -----------------------------------------------------
 
@@ -136,32 +138,8 @@ class WeylGroup:
             for col in matrix
         )
 
-    def _enumerate(self) -> None:
-        """Breadth-first search by length; the whole group is refused up front
-        when its order exceeds the cap."""
-        system = self.system
-        n = system.rank
-        whole = self.max_length is None or self.max_length >= len(system.positive_roots)
-        if whole:
-            _check_size(WEYL_GROUP_ORDERS[system.family](n))
-        level = self.elements[:]
-        length = 0
-        while level and (self.max_length is None or length < self.max_length):
-            nxt: list[WeylElement] = []
-            for w in level:
-                for i in range(n):
-                    if is_positive(w.matrix[i]):  # l(w*s_i) = l(w)+1
-                        m2 = self._right_mult(w.matrix, i)
-                        if m2 not in self.by_matrix:
-                            # inverse of w*s_i is s_i*w^{-1}
-                            nxt.append(self._build(m2, self._left_mult(i, w.inverse_matrix)))
-            self.elements.extend(nxt)
-            level = nxt
-            length += 1
-        self.elements.sort(key=lambda w: (w.length, w.word))
-
     def _build(self, matrix: Matrix, inverse: Matrix) -> WeylElement:
-        """Memoise the element with this matrix, which ``by_matrix`` lacks.
+        """The element with this matrix, memoised first if ``by_matrix`` lacks it.
 
         Its canonical word is its smallest left descent j followed by the
         word of s_j*w, one length lower; a lower element that ``by_matrix``
@@ -169,18 +147,14 @@ class WeylGroup:
         """
         n = self.system.rank
         chain: list[tuple[int, Matrix, Matrix]] = []
-        while True:
+        while (below := self.by_matrix.get(matrix)) is None:
             # j is a left descent iff w^{-1}(a_j) < 0; an element of W reaches
             # a stored one, at worst e, in at most l(w_0) steps
             j = next((k for k in range(n) if not is_positive(inverse[k])), None)
             if j is None or len(chain) == len(self.system.positive_roots):
                 raise AssertionError("matrix is not an element of W")
             chain.append((j, matrix, inverse))
-            matrix = self._left_mult(j, matrix)
-            below = self.by_matrix.get(matrix)
-            if below is not None:
-                break
-            inverse = self._right_mult(inverse, j)
+            matrix, inverse = self._left_mult(j, matrix), self._right_mult(inverse, j)
         for j, matrix, inverse in reversed(chain):
             below = WeylElement((j,) + below.word, matrix, inverse)
             self.by_matrix[matrix] = below
@@ -194,12 +168,9 @@ class WeylGroup:
         return self.by_matrix[self._identity_matrix]
 
     def element_from_word(self, word: tuple[int, ...] | list[int]) -> WeylElement:
-        m = reduce(self._right_mult, word, self._identity_matrix)
-        w = self.by_matrix.get(m)
-        if w is None:
-            inverse = reduce(lambda inv, i: self._left_mult(i, inv), word, self._identity_matrix)
-            w = self._build(m, inverse)
-        return w
+        matrix = reduce(self._right_mult, word, self._identity_matrix)
+        inverse = reduce(lambda inv, i: self._left_mult(i, inv), word, self._identity_matrix)
+        return self._build(matrix, inverse)
 
     def inversion_set_of_word(self, word: tuple[int, ...] | list[int]) -> list[Coeffs]:
         """Pi_w in word order: beta_k = s_1 ... s_{k-1}(d_k)."""
@@ -254,31 +225,61 @@ class WeylGroup:
             found.append(CoveringPair(w, w_prime, idx + 1, beta, gamma))
         return found
 
-    def minimal_representatives(self, theta: frozenset[int] | set[int]) -> list[WeylElement]:
-        """W^Theta among the enumerated elements, in enumeration order."""
+    def minimal_representatives(
+        self, theta: frozenset[int] | set[int], max_length: int | None = None
+    ) -> list[WeylElement]:
+        """W^Theta up to max_length (all of it when None), in (length, word) order.
+
+        W^Theta is an order ideal of the left weak order, walked up level by
+        level from e by the steps `_steps_up` allows.  Macdonald's count
+        refuses a walk above the size cap before anything is built, and must
+        equal the size of every level the walk finds.
+        """
         theta = self._checked_theta(theta)
-        return [w for w in self.elements if in_quotient(w.matrix, theta)]
+        counts = poincare_mod2(self.system, theta)[: None if max_length is None else max_length + 1]
+        _check_size(sum(counts))
+        levels = [[self.identity]]
+        while max_length is None or len(levels) <= max_length:
+            up: dict[Matrix, WeylElement] = {}
+            for w in levels[-1]:
+                for i in range(self.system.rank):
+                    if self._steps_up(w.matrix, w.inverse_matrix, i, theta):
+                        matrix = self._left_mult(i, w.matrix)
+                        if matrix not in up:
+                            # the inverse of s_i*w is w^{-1}*s_i
+                            up[matrix] = self._build(matrix, self._right_mult(w.inverse_matrix, i))
+            if not up:
+                break
+            levels.append(sorted(up.values(), key=lambda w: w.word))
+        if (sizes := [len(level) for level in levels]) != counts:
+            raise AssertionError(f"walk of W^Theta finds {sizes} elements by length, "
+                                 f"Macdonald's count {counts}")
+        return [w for level in levels for w in level]
 
     def top_cell(self, theta: frozenset[int] | set[int]) -> WeylElement:
         """The longest element w_0 w_{0,Theta} of W^Theta, without enumeration.
 
         W^Theta is the interval [e, w_0 w_{0,Theta}] of the left weak order,
-        so a walk from e that left-multiplies by any s_i that lengthens w and
-        keeps w inside W^Theta can only stop at its top.
+        so a walk from e that takes any step `_steps_up` allows can only stop
+        at its top.
         """
         theta = self._checked_theta(theta)
-        alpha = matrix = inverse = self._identity_matrix
+        matrix = inverse = self._identity_matrix
         i = 0
         while i < self.system.rank:
-            # l(s_i*w) = l(w)+1, and s_i*w stays in W^Theta unless w sends
-            # some simple root of Theta to a_i (Deodhar's lemma)
-            if is_positive(inverse[i]) and all(matrix[k] != alpha[i] for k in theta):
+            if self._steps_up(matrix, inverse, i, theta):
                 matrix, inverse = self._left_mult(i, matrix), self._right_mult(inverse, i)
                 i = 0
             else:
                 i += 1
-        w = self.by_matrix.get(matrix)
-        return w if w is not None else self._build(matrix, inverse)
+        return self._build(matrix, inverse)
+
+    def _steps_up(self, matrix: Matrix, inverse: Matrix, i: int, theta: frozenset[int]) -> bool:
+        """For w in W^Theta: is s_i*w one longer and in W^Theta?  It is longer
+        iff w^{-1}(a_i) > 0, and it then leaves W^Theta iff w sends some simple
+        root of Theta to a_i (Deodhar's lemma)."""
+        a_i = self._identity_matrix[i]
+        return is_positive(inverse[i]) and all(matrix[k] != a_i for k in theta)
 
     def _checked_theta(self, theta: frozenset[int] | set[int]) -> frozenset[int]:
         theta = frozenset(theta)

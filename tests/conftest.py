@@ -1,12 +1,65 @@
 from functools import lru_cache
+from math import factorial
 
 from flaghom import WeylGroup, root_system
 from flaghom.rootsys import is_positive
+from flaghom.weyl import in_quotient
+
+#: oracle data: the order of the Weyl group per family, as a function of the rank
+WEYL_GROUP_ORDERS = {
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2**n * factorial(n),
+    "C": lambda n: 2**n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
+    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
+    "F": lambda n: 1152,
+    "G": lambda n: 12,
+}
 
 
 @lru_cache(maxsize=None)
 def cached_group(family: str, rank: int, max_length: int | None = None):
-    return WeylGroup(root_system(family, rank), max_length=max_length)
+    """A group whose memo holds W up to max_length (all of W when None)."""
+    group = WeylGroup(root_system(family, rank))
+    group.minimal_representatives(frozenset(), max_length)
+    return group
+
+
+@lru_cache(maxsize=None)
+def enumerated(family: str, rank: int, max_length: int | None = None):
+    """Oracle: W up to max_length on a group of its own, in (length, word)
+    order, by breadth-first right multiplication from e: no left weak order
+    walk and no step test."""
+    group = WeylGroup(root_system(family, rank))
+    found, level = [group.identity], [group.identity]
+    while level and (max_length is None or found[-1].length < max_length):
+        nxt = []
+        for w in level:
+            for i in range(rank):
+                if is_positive(w.matrix[i]):  # l(w*s_i) = l(w)+1
+                    m = group._right_mult(w.matrix, i)
+                    if m not in group.by_matrix:
+                        # the inverse of w*s_i is s_i*w^{-1}
+                        nxt.append(group._build(m, group._left_mult(i, w.inverse_matrix)))
+        found += nxt
+        level = nxt
+    return tuple(sorted(found, key=lambda w: (w.length, w.word)))
+
+
+def scan_representatives(system, theta, max_length=None):
+    """Oracle: W^Theta up to max_length, scanned out of `enumerated`."""
+    elements = enumerated(system.family, system.rank, max_length)
+    return [w for w in elements if in_quotient(w.matrix, theta)]
+
+
+def descent_chain(group, w):
+    """The matrices of w and of every element below it on the left-descent
+    chain of its canonical word, which is all that building w stores."""
+    chain, m = {w.matrix}, w.matrix
+    for i in w.word:
+        m = group._left_mult(i, m)
+        chain.add(m)
+    return chain
 
 
 def from_one_line(group, perm):
@@ -34,8 +87,8 @@ def is_reduced(group, word):
 
 
 def poincare_by_scan(group, theta):
-    """Oracle: the length counts of W^Theta, read off a fully enumerated group."""
-    reps = group.minimal_representatives(frozenset(theta))
+    """Oracle: the length counts of W^Theta, read off the scan of all of W."""
+    reps = scan_representatives(group.system, theta)
     coeffs = [0] * (max(w.length for w in reps) + 1)
     for w in reps:
         coeffs[w.length] += 1

@@ -213,6 +213,16 @@ def test_homology_degree_limits_exit_2(capsys, max_degree, message):
     assert err.startswith("flaghom: error: ") and message in err
 
 
+@pytest.mark.parametrize("command", ["coeffs", "homology"])  # coeffs first: it fails fast
+def test_huge_max_degree_exits_2(capsys, command):
+    # the complex keeps one list per degree, so no bound would exhaust memory
+    err = _one_line_error(capsys, [command, "A", "2", "--max-degree", "100000000"], 2)
+    assert err == "flaghom: error: max-degree must be <= 4, the number of positive roots + 1\n"
+    assert main(["coeffs", "A", "2", "--max-degree", "4"]) == 0
+    assert main(["homology", "A", "2", "--max-degree", "4"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("max_degree", ["1", "0"])
 def test_z2_homology_refuses_max_degree(capsys, max_degree):
     # z2 reports every degree, so a degree limit would be silently ignored
@@ -258,14 +268,41 @@ def test_e7_refused_before_enumeration(capsys, monkeypatch, command):
     assert err == "flaghom: error: group too large: more than 1000000 elements\n"
 
 
+def test_e8_query_refused_before_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an element was built")
+
+    monkeypatch.setattr(WeylGroup, "_build", refuse)
+    err = _one_line_error(capsys, ["coeffs", "E", "8", "--max-degree", "19"], 2)
+    assert err == "flaghom: error: group too large: more than 1000000 elements\n"
+
+
+def test_e7_partial_flag_to_the_top_cell(capsys):
+    # W^Theta has 56 elements, far below the cap, though W(E7) is above it
+    code, out = run_cli(
+        capsys, "coeffs", "E", "7", "--theta", "1,2,3,4,5,6", "--max-degree", "63",
+        "--format", "json",
+    )
+    assert code == 0
+    pairs = json.loads(out)["covering_pairs"]
+    assert max(len(p["w"]) for p in pairs) == 27
+
+
+def test_walk_disagreeing_with_count_exits_1(capsys, monkeypatch):
+    # W^Theta of A2 has level sizes [1, 2, 2, 1]
+    monkeypatch.setattr("flaghom.weyl.poincare_mod2", lambda system, theta: [1, 2, 1, 1])
+    assert main(["coeffs", "A", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "flaghom: cross-check failure: walk of W^Theta finds [1, 2, 2, 1] elements "
+        "by length, Macdonald's count [1, 2, 1, 1]\n"
+    )
+
+
 def test_sweep_e7_enumerates_nothing(capsys, monkeypatch):
-    enumerate_ = WeylGroup._enumerate
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep walked W^Theta")
 
-    def identity_only(self):
-        enumerate_(self)
-        assert self.elements == [self.identity], "sweep enumerated W"
-
-    monkeypatch.setattr(WeylGroup, "_enumerate", identity_only)
+    monkeypatch.setattr(WeylGroup, "minimal_representatives", refuse)
     code, out = run_cli(capsys, "sweep", "E", "7", "--format", "json")
     assert code == 0
     rows = json.loads(out)["sweep"]
@@ -307,7 +344,7 @@ def test_route_disagreement_exits_1_naming_the_pair(capsys, monkeypatch):
 
 def test_inexact_macdonald_product_exits_1(capsys, monkeypatch):
     # heights shifted by one give [3]_q [4]_q / [2]_q^2 on A2, not a polynomial
-    monkeypatch.setattr("flaghom.homology.height", lambda root: sum(root) + 1)
+    monkeypatch.setattr("flaghom.rootsys.height", lambda root: sum(root) + 1)
     assert main(["homology", "A", "2", "--ring", "z2"]) == 1
     assert capsys.readouterr().err == (
         "flaghom: cross-check failure: Macdonald product does not divide exactly\n"

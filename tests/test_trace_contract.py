@@ -1,0 +1,33 @@
+"""Tier-1 guard on the names the benchmark's trace driver wraps.
+
+``perfbench/trace_driver.py`` looks up each traced entry point by name and
+reports the ones it cannot find as ``missing``; their per-layer metrics then
+read 0 without any failure.  This test runs the driver as the harness does,
+in a subprocess, and only reads ``perfbench/``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parents[1]
+
+
+@pytest.mark.parametrize("job", ["homology A 2", "sweep A 2"])
+def test_trace_driver_finds_every_entry_point(tmp_path, job):
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace_driver.py"), str(spans_path), job,
+         *job.split(), "--format", "json"],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(spans_path.read_text())
+    assert traced["missing"] == []
+    assert traced["spans"]

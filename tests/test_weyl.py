@@ -11,10 +11,18 @@ from flaghom import (
     one_line,
     root_system,
 )
-from flaghom.rootsys import WEYL_GROUP_ORDERS, is_positive
+from flaghom.rootsys import is_positive
 from flaghom.weyl import GroupTooLargeError, from_lehmer_code, in_quotient, lehmer_code
 
-from conftest import cached_group, from_one_line, is_reduced
+from conftest import (
+    WEYL_GROUP_ORDERS,
+    cached_group,
+    descent_chain,
+    enumerated,
+    from_one_line,
+    is_reduced,
+    scan_representatives,
+)
 
 
 def test_a2_enumeration():
@@ -31,8 +39,9 @@ def test_b2_enumeration():
 
 
 def test_a3_truncated_enumeration():
-    g = WeylGroup(root_system("A", 3), max_length=2)
-    assert len(g.elements) == 1 + 3 + 5
+    g = WeylGroup(root_system("A", 3))
+    assert len(g.minimal_representatives(frozenset(), 2)) == 1 + 3 + 5
+    assert len(g.by_matrix) == 1 + 3 + 5  # nothing above length 2 was built
 
 
 def test_group_order_matches_factorial():
@@ -41,16 +50,21 @@ def test_group_order_matches_factorial():
 
 
 def test_size_cap(monkeypatch):
+    g = WeylGroup(root_system("A", 4))
     monkeypatch.setattr("flaghom.weyl.DEFAULT_SIZE_CAP", 50)
     with pytest.raises(GroupTooLargeError, match="group too large"):
-        WeylGroup(root_system("A", 4))
-    # a truncated group counts elements as it stores them: 1 + 4 + 9 > 10
+        g.minimal_representatives(frozenset())
+    # a truncated query is refused by its count, before it builds anything:
+    # 1 + 4 + 9 > 10
     monkeypatch.setattr("flaghom.weyl.DEFAULT_SIZE_CAP", 10)
     with pytest.raises(GroupTooLargeError, match="more than 10 elements"):
-        WeylGroup(root_system("A", 4), max_length=2)
-    # ... including those built on demand above max_length
+        g.minimal_representatives(frozenset(), 2)
+    assert list(g.by_matrix) == [g.identity.matrix]
+    # ... while RP^4's cells up to length 2 fit, and are all it builds
+    assert len(g.minimal_representatives({1, 2, 3}, 2)) == len(g.by_matrix) == 3
+    # elements built on demand count against the cap as they are stored
     monkeypatch.setattr("flaghom.weyl.DEFAULT_SIZE_CAP", 5)
-    g = WeylGroup(root_system("A", 4), max_length=0)
+    g = WeylGroup(root_system("A", 4))
     with pytest.raises(GroupTooLargeError, match="more than 5 elements"):
         g.element_from_word((0, 1, 2, 3, 0, 1))
 
@@ -64,7 +78,9 @@ def test_size_cap(monkeypatch):
     + [("F", 4), ("G", 2)],
 )
 def test_enumerated_order_matches_table(family, rank):
-    assert len(cached_group(family, rank).elements) == WEYL_GROUP_ORDERS[family](rank)
+    group = WeylGroup(root_system(family, rank))
+    assert len(group.minimal_representatives(frozenset())) == WEYL_GROUP_ORDERS[family](rank)
+    assert len(enumerated(family, rank)) == WEYL_GROUP_ORDERS[family](rank)
 
 
 def _peeled_word(g, w):
@@ -95,7 +111,8 @@ def test_words_match_peeled_oracle(family, rank):
 )
 def test_top_cell_is_longest_representative(family, rank):
     full = cached_group(family, rank)
-    bare = WeylGroup(full.system, max_length=0)
+    bare = WeylGroup(full.system)
+    chains = set()
     for theta in _subsets(rank):
         longest = max(full.minimal_representatives(theta), key=lambda w: w.length)
         assert full.top_cell(theta).word == longest.word
@@ -103,12 +120,14 @@ def test_top_cell_is_longest_representative(family, rank):
         assert (top.word, top.matrix, top.inverse_matrix) == (
             longest.word, longest.matrix, longest.inverse_matrix
         )
-    assert bare.elements == [bare.identity]
+        chains |= descent_chain(bare, top)
+    # building the top cells stored their descent chains and nothing else
+    assert set(bare.by_matrix) == chains
 
 
 def test_build_refuses_a_matrix_outside_w():
     # -1 is not in W(A2); its descent walk would cycle without reaching e
-    g = WeylGroup(root_system("A", 2), max_length=0)
+    g = WeylGroup(root_system("A", 2))
     minus_one = tuple(tuple(-x for x in col) for col in g.identity.matrix)
     with pytest.raises(AssertionError, match="not an element of W"):
         g._build(minus_one, minus_one)
@@ -117,7 +136,7 @@ def test_build_refuses_a_matrix_outside_w():
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("G", 2)])
 def test_elements_on_demand_match_full_group(family, rank):
     full = cached_group(family, rank)
-    bare = WeylGroup(full.system, max_length=0)
+    bare = WeylGroup(full.system)
 
     def fields(w):
         return w.word, w.matrix, w.inverse_matrix
@@ -127,8 +146,8 @@ def test_elements_on_demand_match_full_group(family, rank):
         # a reduced word that need not be canonical: the reversal gives w^{-1}
         reverse = tuple(reversed(w.word))
         assert fields(bare.element_from_word(reverse)) == fields(full.element_from_word(reverse))
-    assert bare.elements == [bare.identity]
-    assert len(bare.by_matrix) == len(full.elements)
+    # built on demand: exactly the elements of W
+    assert set(bare.by_matrix) == set(full.by_matrix)
 
 
 def test_words_are_reduced_and_canonical():
@@ -268,7 +287,7 @@ def test_top_cell_covers_match_subword_oracle(family, rank):
     full = cached_group(family, rank)
     built = 0
     for theta in _subsets(rank):
-        bare = WeylGroup(full.system, max_length=0)
+        bare = WeylGroup(full.system)
         top = bare.top_cell(theta)
         before = len(bare.by_matrix)
         _assert_covers_match_oracle(bare, top, full)
@@ -299,9 +318,25 @@ def test_top_cell_memo_stays_in_quotient(family, rank):
     on-demand memo holds only elements of W^Theta."""
     system = cached_group(family, rank, 0).system
     for theta in _subsets(rank):
-        bare = WeylGroup(system, max_length=0)
+        bare = WeylGroup(system)
         bare.bruhat_covers(bare.top_cell(theta), theta)
         assert all(in_quotient(m, theta) for m in bare.by_matrix)
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+@pytest.mark.parametrize("max_length", [0, 1, 3, None])
+def test_walk_matches_scan_of_w(family, rank, max_length):
+    """The walk of W^Theta up the left weak order gives the scan of all of W
+    for W^Theta, in the same order and field by field."""
+
+    def fields(w):
+        return w.word, w.matrix, w.inverse_matrix
+
+    system = root_system(family, rank)
+    for theta in _subsets(rank):
+        walked = WeylGroup(system).minimal_representatives(theta, max_length)
+        scanned = scan_representatives(system, theta, max_length)
+        assert [fields(w) for w in walked] == [fields(w) for w in scanned]
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
