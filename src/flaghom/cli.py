@@ -4,7 +4,9 @@ Subcommands take a family letter and rank, with theta given either
 inclusively (--theta) or by complement (--theta-complement); indices are
 1-based on the command line.  Reports are emitted as text, JSON, or TSV with
 identical numeric content.  Exit codes: 0 success, 1 internal cross-check
-failure, 2 usage error or a job outside the computable range.
+failure, 2 usage error or a job outside the computable range, 141 (128 +
+SIGPIPE, as a shell reports for coreutils) without a message when the reader
+closes stdout before the report is written.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -164,11 +167,10 @@ def report_roots(job: JobSpec) -> dict:
 
 
 def report_weyl(job: JobSpec) -> dict:
-    group = WeylGroup(root_system(job.family, job.rank))
-    order = len(group.minimal_representatives(frozenset()))
-    reps = group.minimal_representatives(job.theta)
+    system = root_system(job.family, job.rank)
+    reps = WeylGroup(system).minimal_representatives(job.theta)
     return {
-        "order": order,
+        "order": sum(poincare_mod2(system, frozenset())),
         "cells": [_cell_out(job, w) for w in reps],
     }
 
@@ -360,7 +362,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"flaghom: cross-check failure: {exc}", file=sys.stderr)
         return 1
     report = {"schema_version": SCHEMA_VERSION, "job": job.as_dict(), **body}
-    print(render(report, job.output_format))
+    try:
+        print(render(report, job.output_format), flush=True)
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

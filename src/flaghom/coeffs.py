@@ -5,7 +5,9 @@ For a covering pair w = w'*s_gamma the coefficient is +-(1 + (-1)^kappa), so
 kappa's parity decides magnitude 0 vs 2.  Three routes compute kappa from
 different data (coroot height, the sigma sum over the suffix inversion set,
 and the difference of inversion-set sums); they must always agree, and any
-disagreement is treated as a bug, never voted away.
+disagreement is treated as a bug, never voted away.  The two inversion-set
+routes read the sums ``phi`` and the ``tail`` chain that each `WeylElement`
+carries from its construction, so neither rebuilds an inversion set.
 """
 
 from __future__ import annotations
@@ -27,27 +29,17 @@ def kappa_via_height(group: WeylGroup, pair: CoveringPair) -> int:
 
 def kappa_via_sigma(group: WeylGroup, pair: CoveringPair) -> int:
     """kappa = 1 - sigma, with sigma summed over the inversion set of the
-    suffix u = s_{I+1} ... s_l of w's canonical word."""
-    system = group.system
-    word = pair.w.word
-    i_deleted = word[pair.deleted_index - 1]
-    suffix = word[pair.deleted_index :]
-    sigma = sum(
-        system.killing_number(i_deleted, delta)
-        for delta in group.inversion_set_of_word(suffix)
-    )
-    return 1 - sigma
+    suffix u = s_{I+1} ... s_l of w's canonical word: by linearity, the
+    pairing of the deleted letter's coroot with phi(u), u being w's I-th tail."""
+    u = pair.w
+    for _ in range(pair.deleted_index):
+        u = u.tail
+    return 1 - group.system.killing_number(pair.w.word[pair.deleted_index - 1], u.phi)
 
 
 def kappa_via_phi(group: WeylGroup, pair: CoveringPair) -> int:
     """kappa from phi(w) - phi(w') = kappa * beta, phi summing the inversion set."""
-    n = group.system.rank
-
-    def phi(word: tuple[int, ...]) -> list[int]:
-        inversions = group.inversion_set_of_word(word)
-        return [sum(delta[k] for delta in inversions) for k in range(n)]
-
-    diff = [a - b for a, b in zip(phi(pair.w.word), phi(pair.w_prime.word))]
+    diff = [a - b for a, b in zip(pair.w.phi, pair.w_prime.phi)]
     beta = pair.beta
     kappa = None
     for d, b in zip(diff, beta):

@@ -3,6 +3,8 @@
 Roots are plain integer coefficient tuples over the simple basis.  Simple
 roots are indexed 0..rank-1 throughout the library; positions inside words
 and sequences are 1-based where the underlying formulas are (see `p_sum`).
+Each positive root b carries its coroot and the row <a_j, b^v> of its pairings
+with the simple roots, both tabulated once when the system is built.
 `poincare_mod2` counts W^Theta by length from the root heights alone.
 """
 
@@ -185,11 +187,13 @@ def _minimal_symmetrizer(C: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Table of positive roots and their coroot coefficients."""
+    """Table of positive roots, their coroot coefficients and, per positive
+    root b, its pairings (<a_0, b^v>, ..., <a_{n-1}, b^v>)."""
 
     cartan: CartanData
     positive_roots: tuple[Coeffs, ...]
     coroot_coeffs: dict[Coeffs, Coeffs] = field(repr=False)
+    coroot_pairings: dict[Coeffs, Coeffs] = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -294,6 +298,8 @@ def build_root_system(cartan: CartanData) -> RootSystem:
 
     ordered = tuple(sorted(positives, key=lambda r: (height(r), r)))
     coroots: dict[Coeffs, Coeffs] = {}
+    pairings: dict[Coeffs, Coeffs] = {}
+    nonzero = [(i, j, C[i][j]) for i in range(n) for j in range(n) if C[i][j]]
     d = cartan.symmetrizer
     for root in ordered:
         norm = cartan.bilinear(root, root)
@@ -304,7 +310,11 @@ def build_root_system(cartan: CartanData) -> RootSystem:
                 raise AssertionError("coroot coefficient is not integral")
             dual.append(num // norm)
         coroots[root] = tuple(dual)
-    return RootSystem(cartan, ordered, coroots)
+        pairing = [0] * n  # <a_j, root^v> = sum_i dual_i C[i][j]
+        for i, j, c in nonzero:
+            pairing[j] += dual[i] * c
+        pairings[root] = tuple(pairing)
+    return RootSystem(cartan, ordered, coroots, pairings)
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,9 @@ Elements are identified by their action on the simple-root coordinates: the
 faithful finite representation.  Words are canonical (lexicographically
 smallest reduced): the word of w is its smallest left descent j followed by
 the word of s_j*w, which is one length lower, so each word costs one lookup.
+Each element keeps that s_j*w as its ``tail`` (so following ``tail`` I times
+gives the element whose word is ``word[I:]``) and the sum ``phi`` of its
+inversion set, phi(w) = a_j + s_j(phi(s_j*w)), which moves one coordinate.
 
 A `WeylGroup` starts from e and builds the elements a query reads by this
 rule, memoised in one dict ``by_matrix``.  W^Theta up to a length, the cells
@@ -16,15 +19,16 @@ a walk count against the cap as they are stored.
 
 The Bruhat covers of w come from reflecting w's matrix in each inversion
 root beta (deleting a letter of a reduced word gives s_beta*w), not from
-multiplying out subwords.  They are asked for per theta: a cover outside
-W^Theta is dropped before it is built, and the descent chain of an element
-of W^Theta stays in W^Theta, so the elements built on demand for a question
-about W^Theta all lie in W^Theta.
+multiplying out subwords; root heights and the system's table of pairings
+with beta's coroot tell whether the shorter word is reduced.  Covers are
+asked for per theta: a cover outside W^Theta is dropped before it is built,
+and the descent chain of an element of W^Theta stays in W^Theta, so the
+elements built on demand for a question about W^Theta all lie in W^Theta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from .rootsys import Coeffs, RootSystem, is_positive, negate, poincare_mod2, simple_root
@@ -48,6 +52,8 @@ class WeylElement:
     word: tuple[int, ...]
     matrix: Matrix
     inverse_matrix: Matrix
+    tail: WeylElement | None = field(compare=False, repr=False)  # word[1:]; None for e
+    phi: Coeffs = field(compare=False, repr=False)  # sum of the inversion set
 
     @property
     def length(self) -> int:
@@ -74,7 +80,7 @@ def _apply(matrix: Matrix, root: Coeffs) -> Coeffs:
     )
 
 
-def _reflect(beta: Coeffs, pairing: list[int], v: Coeffs) -> Coeffs:
+def _reflect(beta: Coeffs, pairing: Coeffs, v: Coeffs) -> Coeffs:
     """s_beta(v) = v - <v, beta^v> beta, with pairing[j] = <a_j, beta^v>."""
     k = sum(p * x for p, x in zip(pairing, v))
     return tuple(x - k * b for x, b in zip(v, beta))
@@ -110,7 +116,7 @@ class WeylGroup:
         # coordinates that the pairing with a_i's coroot reads
         self._moved = [tuple((j, C[i][j]) for j in range(n) if C[i][j]) for i in range(n)]
         self._identity_matrix: Matrix = tuple(simple_root(n, i) for i in range(n))
-        identity = WeylElement((), self._identity_matrix, self._identity_matrix)
+        identity = WeylElement((), self._identity_matrix, self._identity_matrix, None, (0,) * n)
         self.by_matrix: dict[Matrix, WeylElement] = {identity.matrix: identity}
 
     @property
@@ -156,7 +162,10 @@ class WeylGroup:
             chain.append((j, matrix, inverse))
             matrix, inverse = self._left_mult(j, matrix), self._right_mult(inverse, j)
         for j, matrix, inverse in reversed(chain):
-            below = WeylElement((j,) + below.word, matrix, inverse)
+            phi = below.phi  # phi(w) = a_j + s_j(phi(s_j*w)) moves coordinate j only
+            phi_j = phi[j] + 1 - sum(c * phi[k] for k, c in self._moved[j])
+            below = WeylElement((j,) + below.word, matrix, inverse, below,
+                                phi[:j] + (phi_j,) + phi[j + 1 :])
             self.by_matrix[matrix] = below
             _check_size(len(self.by_matrix))
         return below
@@ -189,20 +198,21 @@ class WeylGroup:
 
         Deleting letter I of w's word gives w' = s_beta*w, beta the I-th
         inversion root; the shorter word is reduced iff s_beta keeps every
-        later inversion root positive, and w = w'*s_gamma with
-        gamma = -w^{-1}(beta).  A w' outside W^Theta is dropped before it is
-        looked up or built, so the memo gains only elements of W^Theta.
+        later inversion root delta positive, that is iff the root s_beta(delta)
+        has positive height ht delta - <delta, beta^v> ht beta, and
+        w = w'*s_gamma with gamma = -w^{-1}(beta).  A w' outside W^Theta is
+        dropped before it is looked up or built, so the memo gains only
+        elements of W^Theta.
         """
-        C = self.system.cartan.cartan_matrix
-        n = self.system.rank
         inversions = self.inversion_set_of_word(w.word)
+        heights = [sum(delta) for delta in inversions]
         seen: set[Matrix] = set()
         found: list[CoveringPair] = []
-        for idx, beta in enumerate(inversions):
-            c = self.system.coroot(beta)
-            pairing = [sum(c[i] * C[i][j] for i in range(n)) for j in range(n)]  # <a_j, beta^v>
+        for idx, (beta, h) in enumerate(zip(inversions, heights)):
+            pairing = self.system.coroot_pairings[beta]  # <a_j, beta^v>
             if not all(
-                is_positive(_reflect(beta, pairing, later)) for later in inversions[idx + 1 :]
+                heights[k] > h * sum(p * x for p, x in zip(pairing, inversions[k]))
+                for k in range(idx + 1, len(inversions))
             ):
                 continue
             matrix = tuple(_reflect(beta, pairing, col) for col in w.matrix)

@@ -17,6 +17,10 @@ WEYL_GROUP_ORDERS = {
 }
 
 
+#: groups whose whole W the oracle tests walk
+ORACLE_GROUPS = [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
+
+
 @lru_cache(maxsize=None)
 def cached_group(family: str, rank: int, max_length: int | None = None):
     """A group whose memo holds W up to max_length (all of W when None)."""
@@ -106,3 +110,28 @@ def orientable_by_root_sum(system, theta):
     return all(
         sum(system.killing_number(i, b) for b in outside) % 2 == 0 for i in range(system.rank)
     )
+
+
+def phi_by_word(group, word):
+    """Oracle: the componentwise sum of the inversion set read off a word."""
+    inversions = group.inversion_set_of_word(word)
+    return tuple(sum(delta[k] for delta in inversions) for k in range(group.system.rank))
+
+
+def kappa_sigma_by_word(group, pair):
+    """Oracle: 1 - sigma, with sigma summed root by root over the inversion
+    set of the suffix of w's word after the deleted letter."""
+    word = pair.w.word
+    i_deleted = word[pair.deleted_index - 1]
+    suffix = group.inversion_set_of_word(word[pair.deleted_index :])
+    return 1 - sum(group.system.killing_number(i_deleted, delta) for delta in suffix)
+
+
+def kappa_phi_by_word(group, pair):
+    """Oracle: the kappa with phi(w) - phi(w') = kappa * beta, phi read off
+    the words of w and w'."""
+    diff = [a - b for a, b in zip(phi_by_word(group, pair.w.word),
+                                  phi_by_word(group, pair.w_prime.word))]
+    kappa = next(d // b for d, b in zip(diff, pair.beta) if b)
+    assert diff == [kappa * b for b in pair.beta]
+    return kappa

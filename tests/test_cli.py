@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -7,6 +8,8 @@ import pytest
 
 from flaghom import WeylGroup
 from flaghom.cli import build_parser, main
+
+from conftest import ORACLE_GROUPS, WEYL_GROUP_ORDERS
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +271,34 @@ def test_e7_refused_before_enumeration(capsys, monkeypatch, command):
     assert err == "flaghom: error: group too large: more than 1000000 elements\n"
 
 
+def test_weyl_order_is_macdonalds_count(capsys, monkeypatch):
+    """`weyl` walks W^Theta alone and reads the order off Macdonald's count."""
+    walked = []
+    walk = WeylGroup.minimal_representatives
+
+    def recorded(group, theta, max_length=None):
+        walked.append(theta)
+        return walk(group, theta, max_length)
+
+    monkeypatch.setattr(WeylGroup, "minimal_representatives", recorded)
+    for family, rank in ORACLE_GROUPS:
+        code, out = run_cli(capsys, "weyl", family, str(rank), "--theta", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["order"] == WEYL_GROUP_ORDERS[family](rank)
+    assert walked == [frozenset({0})] * len(ORACLE_GROUPS)
+
+
+def test_weyl_e7_partial_flag_answers(capsys):
+    # W^Theta has 56 elements, though W(E7), the W^Theta of `weyl E 7`, is above the cap
+    code, out = run_cli(capsys, "weyl", "E", "7", "--theta", "1,2,3,4,5,6", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["order"] == 2903040
+    assert len(report["cells"]) == 56 and report["cells"][-1]["length"] == 27
+    err = _one_line_error(capsys, ["weyl", "E", "7"], 2)
+    assert err == "flaghom: error: group too large: more than 1000000 elements\n"
+
+
 def test_e8_query_refused_before_building(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("an element was built")
@@ -368,3 +399,22 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the JSON report (about 210 KiB) is far above the 64 KiB pipe buffer,
+    # and the read end of its pipe is closed before the job starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flaghom.cli", "coeffs", "A", "4", "--max-degree", "10",
+             "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

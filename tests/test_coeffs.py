@@ -5,6 +5,7 @@ import pytest
 import flaghom.coeffs
 
 from flaghom import (
+    WeylGroup,
     coefficient,
     from_code_spectrum,
     kappa_report,
@@ -16,7 +17,13 @@ from flaghom import (
 )
 from flaghom.rootsys import height
 
-from conftest import cached_group, from_one_line
+from conftest import (
+    ORACLE_GROUPS,
+    cached_group,
+    from_one_line,
+    kappa_phi_by_word,
+    kappa_sigma_by_word,
+)
 
 
 def all_pairs(group, max_length=None):
@@ -210,3 +217,31 @@ def test_kappa_report_evaluates_each_route_once(monkeypatch, family, rank):
         "kappa_via_phi": len(pairs),
         "kappa_via_dual_height_remarks": dual,
     }
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+def test_sigma_and_phi_routes_match_word_oracles(family, rank):
+    """The routes that read tail and phi equal the sums over inversion sets
+    read off the words: on every cover of W, and on the covers in W^Theta of
+    a group that builds only W^Theta, for every maximal theta."""
+    full = cached_group(family, rank)
+    for theta in [frozenset()] + [frozenset(range(rank)) - {i} for i in range(rank)]:
+        g = WeylGroup(full.system) if theta else full
+        for w in g.minimal_representatives(theta):
+            for pair in g.bruhat_covers(w, theta):
+                assert kappa_via_sigma(g, pair) == kappa_sigma_by_word(g, pair)
+                assert kappa_via_phi(g, pair) == kappa_phi_by_word(g, pair)
+
+
+def test_routes_rebuild_no_inversion_set(monkeypatch):
+    g = cached_group("B", 3)
+    pairs = list(all_pairs(g))
+
+    def refuse(*args):
+        raise AssertionError("a kappa route rebuilt an inversion set")
+
+    monkeypatch.setattr(WeylGroup, "inversion_set_of_word", refuse)
+    for pair in pairs:
+        kappa_via_sigma(g, pair)
+        kappa_via_phi(g, pair)
+        kappa_report(g, pair)

@@ -137,6 +137,25 @@ def test_coroot_involution(family, rank):
         assert dual.coroot(s.coroot(r)) == r
 
 
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+)
+def test_coroot_pairings_match_dense_cartan_sum(family, rank):
+    """The table row of b is sum_i c_i C[i][j] over the coroot coefficients c
+    of b, and it is also 2(a_j, b)/(b, b) from the invariant form."""
+    s = root_system(family, rank)
+    C = s.cartan.cartan_matrix
+    assert set(s.coroot_pairings) == set(s.positive_roots)
+    for root in s.positive_roots:
+        c = s.coroot(root)
+        dense = tuple(sum(c[i] * C[i][j] for i in range(rank)) for j in range(rank))
+        assert s.coroot_pairings[root] == dense
+        norm = s.cartan.bilinear(root, root)
+        assert dense == tuple(2 * s.cartan.bilinear(s.simple(j), root) // norm
+                              for j in range(rank))
+
+
 def _dual_symmetrizer(s):
     from flaghom.rootsys import _minimal_symmetrizer
 

@@ -15,12 +15,14 @@ from flaghom.rootsys import is_positive
 from flaghom.weyl import GroupTooLargeError, from_lehmer_code, in_quotient, lehmer_code
 
 from conftest import (
+    ORACLE_GROUPS,
     WEYL_GROUP_ORDERS,
     cached_group,
     descent_chain,
     enumerated,
     from_one_line,
     is_reduced,
+    phi_by_word,
     scan_representatives,
 )
 
@@ -236,9 +238,6 @@ def test_covering_pair_roots():
                 assert lhs == via_gamma
 
 
-ORACLE_GROUPS = [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
-
-
 def _covers_by_subwords(g, w):
     """Oracle: delete each letter of w's word, keep the reduced subwords,
     multiply each out from the identity, and reflect the deleted simple root
@@ -271,6 +270,22 @@ def _assert_covers_match_oracle(g, w, oracle_group):
     assert [_cover_fields(p.w_prime, p.deleted_index, p.beta, p.gamma) for p in pairs] == [
         _cover_fields(*pair) for pair in _covers_by_subwords(oracle_group, w)
     ]
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+def test_tail_and_phi_match_the_word(family, rank):
+    """Each element's tail is the stored element whose word drops the first
+    letter (e has none), and its phi is the sum of the inversion set read
+    off its word."""
+    g = cached_group(family, rank)
+    assert len(g.elements) == WEYL_GROUP_ORDERS[family](rank)
+    for w in g.elements:
+        if w.length == 0:
+            assert w.tail is None
+        else:
+            assert w.tail.word == w.word[1:]
+            assert g.by_matrix[w.tail.matrix] is w.tail
+        assert w.phi == phi_by_word(g, w.word)
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
