@@ -27,10 +27,7 @@ from .weyl import (
     CoveringPair,
     WeylElement,
     WeylGroup,
-    code_spectrum,
     covers_oracle_typeA,
-    from_code_spectrum,
-    lehmer_code,
     one_line,
 )
 
@@ -45,10 +42,8 @@ __all__ = [
     "WeylGroup",
     "build_complex",
     "build_root_system",
-    "code_spectrum",
     "coefficient",
     "covers_oracle_typeA",
-    "from_code_spectrum",
     "h1_h2_closed_form",
     "height",
     "homology_groups",
@@ -57,7 +52,6 @@ __all__ = [
     "kappa_via_height",
     "kappa_via_phi",
     "kappa_via_sigma",
-    "lehmer_code",
     "one_line",
     "orientable_typeA",
     "orientable_via_topcell",

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from . import __version__
 from .coeffs import kappa_report
 from .homology import (
+    HomologyGroup,
     SignIndeterminateError,
     build_complex,
     h1_h2_closed_form,
@@ -30,13 +31,9 @@ from .homology import (
     poincare_mod2,
 )
 from .rootsys import POSITIVE_ROOT_COUNTS, RANK_BOUNDS, height, root_system
-from .weyl import GroupTooLargeError, WeylGroup, one_line
+from .weyl import DEFAULT_SIZE_CAP, GroupTooLargeError, WeylGroup, one_line
 
 SCHEMA_VERSION = "2"
-
-
-class CrossCheckError(Exception):
-    """An internal consistency check failed; reported with exit code 1."""
 
 
 @dataclass(frozen=True)
@@ -144,6 +141,10 @@ def _word_out(word: tuple[int, ...]) -> list[int]:
     return [i + 1 for i in word]
 
 
+def _group_out(h: HomologyGroup) -> dict:
+    return {"free_rank": h.free_rank, "torsion": list(h.torsion)}
+
+
 def _cell_out(job: JobSpec, w) -> dict:
     out = {"word": _word_out(w.word), "length": w.length}
     if job.family == "A":
@@ -213,36 +214,23 @@ def report_homology(job: JobSpec) -> dict:
     group = WeylGroup(system)
     complex_ = build_complex(group, job.theta, job.max_degree)
     groups = homology_groups(complex_, job.max_degree - 1)
+    closed: dict[str, HomologyGroup] = {}
+    if job.family == "A" and job.rank >= 2:
+        h1, h2 = h1_h2_closed_form(job.rank + 1, job.theta)
+        closed = {key: h for key, h in (("H1", h1), ("H2", h2)) if h is not None}
+    for k, want in enumerate(closed.values(), start=1):
+        if k < job.max_degree and groups[k] != want:
+            got, want = _group_out(groups[k]), _group_out(want)
+            raise AssertionError(f"H{k} mismatch: complex {got} vs closed form {want}")
     out = {
         "cells": [
             _cell_out(job, w) for k in sorted(complex_.cells) for w in complex_.cells[k]
         ],
         "matrices": {str(k): complex_.boundaries[k] for k in complex_.boundaries},
-        "homology": [
-            {"degree": k, "free_rank": h.free_rank, "torsion": list(h.torsion)}
-            for k, h in enumerate(groups)
-        ],
+        "homology": [{"degree": k, **_group_out(h)} for k, h in enumerate(groups)],
     }
     if job.family == "A":
-        n = job.rank + 1
-        h1, h2 = h1_h2_closed_form(n, job.theta) if n >= 3 else (None, None)
-        closed = {}
-        if h1 is not None:
-            closed["H1"] = {"free_rank": h1.free_rank, "torsion": list(h1.torsion)}
-        if h2 is not None:
-            closed["H2"] = {"free_rank": h2.free_rank, "torsion": list(h2.torsion)}
-        out["closed_form"] = closed
-        for key, want in closed.items():
-            k = int(key[1])
-            if k <= job.max_degree - 1:
-                got = out["homology"][k]
-                if (got["free_rank"], got["torsion"]) != (
-                    want["free_rank"],
-                    want["torsion"],
-                ):
-                    raise CrossCheckError(
-                        f"H{k} mismatch: complex {got} vs closed form {want}"
-                    )
+        out["closed_form"] = {key: _group_out(h) for key, h in closed.items()}
     return out
 
 
@@ -250,7 +238,7 @@ def _orientable_typeA_checked(n: int, theta: frozenset[int], top_cell: bool) -> 
     """The type A parity criterion, which must agree with the top-cell route."""
     criterion = orientable_typeA(n, theta)
     if criterion != top_cell:
-        raise CrossCheckError(
+        raise AssertionError(
             f"orientability criteria disagree for theta={_word_out(sorted(theta))}"
         )
     return criterion
@@ -267,6 +255,11 @@ def report_orientability(job: JobSpec) -> dict:
 
 
 def report_sweep(job: JobSpec) -> dict:
+    if 2**job.rank > DEFAULT_SIZE_CAP:
+        raise GroupTooLargeError(
+            f"sweep too large: 2^{job.rank} = {2**job.rank} theta rows, "
+            f"more than {DEFAULT_SIZE_CAP}"
+        )
     group = WeylGroup(root_system(job.family, job.rank))
     n = job.rank + 1
     rows = []
@@ -358,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         body = REPORTERS[job.command](job)
     except (SignIndeterminateError, GroupTooLargeError) as exc:
         parser.exit(2, f"flaghom: error: {exc}\n")
-    except (CrossCheckError, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"flaghom: cross-check failure: {exc}", file=sys.stderr)
         return 1
     report = {"schema_version": SCHEMA_VERSION, "job": job.as_dict(), **body}

@@ -40,18 +40,9 @@ def kappa_via_sigma(group: WeylGroup, pair: CoveringPair) -> int:
 def kappa_via_phi(group: WeylGroup, pair: CoveringPair) -> int:
     """kappa from phi(w) - phi(w') = kappa * beta, phi summing the inversion set."""
     diff = [a - b for a, b in zip(pair.w.phi, pair.w_prime.phi)]
-    beta = pair.beta
-    kappa = None
-    for d, b in zip(diff, beta):
-        if b == 0:
-            if d != 0:
-                raise AssertionError("phi-difference inconsistency")
-            continue
-        q, r = divmod(d, b)
-        if r != 0 or (kappa is not None and q != kappa):
-            raise AssertionError("phi-difference inconsistency")
-        kappa = q
-    if kappa is None:
+    i = next(i for i, b in enumerate(pair.beta) if b)  # beta is a positive root
+    kappa = diff[i] // pair.beta[i]
+    if diff != [kappa * b for b in pair.beta]:
         raise AssertionError("phi-difference inconsistency")
     return kappa
 

@@ -1,19 +1,18 @@
 """Finite reduced root systems from Cartan data, with exact integer arithmetic.
 
 Roots are plain integer coefficient tuples over the simple basis.  Simple
-roots are indexed 0..rank-1 throughout the library; positions inside words
-and sequences are 1-based where the underlying formulas are (see `p_sum`).
-Each positive root b carries its coroot and the row <a_j, b^v> of its pairings
-with the simple roots, both tabulated once when the system is built.
+roots are indexed 0..rank-1 throughout the library.  One reflection closure
+finds the positive roots and carries each one's coroot along, since
+s_i(b)^v = s_i(b^v); no invariant form is needed.  Each positive root b keeps
+its coroot and the row <a_j, b^v> of its pairings with the simple roots, both
+tabulated once when the system is built.
 `poincare_mod2` counts W^Theta by length from the root heights alone.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
 
 Coeffs = tuple[int, ...]
 
@@ -52,10 +51,6 @@ def is_positive(root: Coeffs) -> bool:
     return any(c > 0 for c in root) and all(c >= 0 for c in root)
 
 
-def is_negative(root: Coeffs) -> bool:
-    return any(c < 0 for c in root) and all(c <= 0 for c in root)
-
-
 def negate(root: Coeffs) -> Coeffs:
     return tuple(-c for c in root)
 
@@ -66,19 +61,15 @@ def simple_root(rank: int, i: int) -> Coeffs:
 
 @dataclass(frozen=True)
 class CartanData:
-    """A Cartan matrix of finite type together with its minimal symmetrizer.
+    """A Cartan matrix with the family and rank it is named by.
 
     ``cartan_matrix[i][j]`` is the pairing of the i-th simple coroot with the
-    j-th simple root.  ``symmetrizer`` holds the smallest positive integers
-    d_i such that d_i * C[i][j] is symmetric; d_i plays the role of half the
-    squared length of the i-th simple root, which keeps every coroot
-    coefficient an exact integer.
+    j-th simple root.
     """
 
     family: str
     rank: int
     cartan_matrix: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = self.rank
@@ -88,21 +79,16 @@ class CartanData:
         if n < lo or (hi is not None and n > hi):
             raise ValueError(f"rank {n} out of range for family {self.family}")
         C = self.cartan_matrix
-        d = self.symmetrizer
-        if len(C) != n or any(len(row) != n for row in C) or len(d) != n:
-            raise ValueError("Cartan matrix / symmetrizer shape mismatch")
+        if len(C) != n or any(len(row) != n for row in C):
+            raise ValueError("Cartan matrix shape mismatch")
         for i in range(n):
             if C[i][i] != 2:
                 raise ValueError("diagonal Cartan entries must be 2")
-            if d[i] <= 0:
-                raise ValueError("symmetrizer entries must be positive")
             for j in range(n):
                 if i != j and C[i][j] > 0:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
                 if (C[i][j] == 0) != (C[j][i] == 0):
                     raise ValueError("Cartan matrix zero pattern must be symmetric")
-                if d[i] * C[i][j] != d[j] * C[j][i]:
-                    raise ValueError("symmetrizer does not symmetrize the Cartan matrix")
 
     @classmethod
     def for_family(cls, family: str, rank: int) -> "CartanData":
@@ -142,47 +128,7 @@ class CartanData:
             join(0, 1, -3, -1)
         else:
             raise ValueError(f"unknown family {family!r}")
-        matrix = tuple(tuple(row) for row in C)
-        return cls(family, rank, matrix, _minimal_symmetrizer(matrix))
-
-    def bilinear(self, alpha: Coeffs, beta: Coeffs) -> int:
-        """Invariant inner product, normalized so (a_i, a_i) = 2*d_i."""
-        C, d = self.cartan_matrix, self.symmetrizer
-        return sum(
-            alpha[i] * beta[j] * d[i] * C[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-
-
-def _minimal_symmetrizer(C: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Smallest positive integers d with d_i*C[i][j] symmetric (connected
-    components handled independently)."""
-    n = len(C)
-    d: list[int | None] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = 1
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if i != j and C[i][j] != 0 and d[j] is None:
-                    # d_j / d_i = C[i][j] / C[j][i]
-                    num = d[i] * C[i][j]
-                    den = C[j][i]
-                    if num % den:
-                        # scale the whole component to stay integral
-                        scale = abs(den) // gcd(abs(num), abs(den))
-                        for k in range(n):
-                            if d[k] is not None:
-                                d[k] *= scale
-                        num = d[i] * C[i][j]
-                    d[j] = num // den
-                    queue.append(j)
-    g = gcd(*[x for x in d if x is not None]) if n else 1
-    return tuple(x // g for x in d)  # type: ignore[union-attr]
+        return cls(family, rank, tuple(tuple(row) for row in C))
 
 
 @dataclass(frozen=True)
@@ -203,82 +149,41 @@ class RootSystem:
     def family(self) -> str:
         return self.cartan.family
 
-    def simple(self, i: int) -> Coeffs:
-        return simple_root(self.rank, i)
-
     def is_root(self, root: Coeffs) -> bool:
-        return root in self.coroot_coeffs or negate(root) in self.coroot_coeffs
+        """Whether root is a positive root of this system."""
+        return root in self.coroot_coeffs
 
     def killing_number(self, i: int, beta: Coeffs) -> int:
         """Pairing of the i-th simple coroot with an arbitrary vector."""
         C = self.cartan.cartan_matrix
         return sum(C[i][j] * beta[j] for j in range(self.rank))
 
-    def reflect(self, i: int, beta: Coeffs) -> Coeffs:
-        """Simple reflection s_i applied to beta."""
-        k = self.killing_number(i, beta)
-        return tuple(b - k if j == i else b for j, b in enumerate(beta))
-
     def coroot(self, alpha: Coeffs) -> Coeffs:
-        """Coefficient vector of the coroot over the dual simple basis."""
-        if is_negative(alpha):
-            return negate(self.coroot(negate(alpha)))
+        """Coefficients of a positive root's coroot over the simple coroots."""
         try:
             return self.coroot_coeffs[alpha]
         except KeyError:
-            raise ValueError(f"{alpha} is not a root of this system") from None
+            raise ValueError(f"{alpha} is not a positive root of this system") from None
 
     def coroot_height(self, alpha: Coeffs) -> int:
         return height(self.coroot(alpha))
 
-    def p_sum(self, sequence: list[int], x: int, y: int, l: int) -> int:
-        """Alternating-product sum P^l_{x,y} over an ordered sequence of
-        simple-root indices.  x and y are 1-based positions in the sequence.
-        """
-        m = len(sequence)
-        if not (1 <= x < y <= m) or not (0 <= l < y - x):
-            raise ValueError("invalid P-sum indices")
-        C = self.cartan.cartan_matrix
-        if l == 0:
-            return C[sequence[x - 1]][sequence[y - 1]]
-        total = 0
-        for js in itertools.combinations(range(x + 1, y), l):
-            chain = (x, *js, y)
-            prod = 1
-            for a, b in zip(chain, chain[1:]):
-                prod *= C[sequence[a - 1]][sequence[b - 1]]
-            total += prod
-        return total
-
-    def conjugated_root(self, sequence: list[int]) -> Coeffs:
-        """s_1 ... s_{m-1}(d_m) by the closed alternating P-sum formula."""
-        m = len(sequence)
-        if m < 1:
-            raise ValueError("sequence must be nonempty")
-        result = [0] * self.rank
-        result[sequence[-1]] += 1
-        for i in range(1, m):
-            coeff = sum(
-                (-1) ** (l - 1) * self.p_sum(sequence, i, m, l)
-                for l in range(m - i)
-            )
-            result[sequence[i - 1]] += coeff
-        return tuple(result)
-
 
 def build_root_system(cartan: CartanData) -> RootSystem:
-    """Close the simple roots under simple reflections.
+    """Close the simple roots under simple reflections, coroots alongside.
 
     Breadth-first closure keeping the all-nonnegative vectors; a Cartan
-    matrix that is not of finite type blows past the classical positive-root
-    bound and is rejected.
+    matrix that is not of finite type (a non-symmetrizable one among them)
+    blows past the classical positive-root bound and is rejected.  Each new
+    root s_i(b) gets the coroot s_i(b^v) = b^v - <a_i, b^v> a_i^v, which moves
+    coordinate i only, by sum_j C[j][i] b^v_j.
     """
     n = cartan.rank
     C = cartan.cartan_matrix
     bound = POSITIVE_ROOT_COUNTS[cartan.family](n)
 
-    positives = {simple_root(n, i) for i in range(n)}
-    frontier = list(positives)
+    coroots = {simple_root(n, i): simple_root(n, i) for i in range(n)}
+    frontier = list(coroots)
     while frontier:
         new: list[Coeffs] = []
         for root in frontier:
@@ -287,33 +192,22 @@ def build_root_system(cartan: CartanData) -> RootSystem:
                 image = tuple(
                     c - k if j == i else c for j, c in enumerate(root)
                 )
-                if is_positive(image) and image not in positives:
-                    positives.add(image)
+                if is_positive(image) and image not in coroots:
+                    dual = coroots[root]
+                    dual_k = sum(C[j][i] * dual[j] for j in range(n))
+                    coroots[image] = dual[:i] + (dual[i] - dual_k,) + dual[i + 1 :]
                     new.append(image)
-        if len(positives) > bound:
+        if len(coroots) > bound:
             raise NotFiniteTypeError("not finite type")
         frontier = new
-    if len(positives) != bound:
+    if len(coroots) != bound:
         raise NotFiniteTypeError("not finite type")
 
-    ordered = tuple(sorted(positives, key=lambda r: (height(r), r)))
-    coroots: dict[Coeffs, Coeffs] = {}
-    pairings: dict[Coeffs, Coeffs] = {}
-    nonzero = [(i, j, C[i][j]) for i in range(n) for j in range(n) if C[i][j]]
-    d = cartan.symmetrizer
-    for root in ordered:
-        norm = cartan.bilinear(root, root)
-        dual = []
-        for i in range(n):
-            num = root[i] * 2 * d[i]
-            if num % norm:
-                raise AssertionError("coroot coefficient is not integral")
-            dual.append(num // norm)
-        coroots[root] = tuple(dual)
-        pairing = [0] * n  # <a_j, root^v> = sum_i dual_i C[i][j]
-        for i, j, c in nonzero:
-            pairing[j] += dual[i] * c
-        pairings[root] = tuple(pairing)
+    ordered = tuple(sorted(coroots, key=lambda r: (height(r), r)))
+    pairings = {  # <a_j, b^v> = sum_i b^v_i C[i][j]
+        root: tuple(sum(c * C[i][j] for i, c in enumerate(coroots[root])) for j in range(n))
+        for root in ordered
+    }
     return RootSystem(cartan, ordered, coroots, pairings)
 
 

@@ -24,6 +24,9 @@ with beta's coroot tell whether the shorter word is reduced.  Covers are
 asked for per theta: a cover outside W^Theta is dropped before it is built,
 and the descent chain of an element of W^Theta stays in W^Theta, so the
 elements built on demand for a question about W^Theta all lie in W^Theta.
+
+Type A one-line forms name cells in the CLI's output and feed the one-line
+cover oracle `covers_oracle_typeA`, the fourth kappa route.
 """
 
 from __future__ import annotations
@@ -65,15 +68,9 @@ class WeylElement:
     def __hash__(self) -> int:
         return hash(self.matrix)
 
-    def apply(self, root: Coeffs) -> Coeffs:
-        """Image of a root under this element."""
-        return _apply(self.matrix, root)
-
-    def inverse_apply(self, root: Coeffs) -> Coeffs:
-        return _apply(self.inverse_matrix, root)
-
 
 def _apply(matrix: Matrix, root: Coeffs) -> Coeffs:
+    """Image of a root under the element with this matrix."""
     n = len(matrix)
     return tuple(
         sum(root[j] * matrix[j][i] for j in range(n)) for i in range(n)
@@ -337,48 +334,3 @@ def covers_oracle_typeA(
     if any(wp[i] < wp[k] < wp[j] for k in range(i + 1, j)):
         return None
     return (i + 1, j + 1)
-
-
-def lehmer_code(one_line: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(one_line)
-    if sorted(one_line) != list(range(1, n + 1)):
-        raise ValueError("invalid one-line form")
-    return tuple(
-        sum(1 for k in range(i + 1, n) if one_line[k] < one_line[i])
-        for i in range(n)
-    )
-
-
-def from_lehmer_code(code: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    n = len(code)
-    remaining = list(range(1, n + 1))
-    out = []
-    for i, c in enumerate(code):
-        if not 0 <= c <= n - 1 - i:
-            raise ValueError("invalid Lehmer code")
-        out.append(remaining.pop(c))
-    return tuple(out)
-
-
-def code_spectrum(one_line: tuple[int, ...]) -> tuple[int, ...]:
-    """Partition re-encoding of the Lehmer code: value i appears code[i] times."""
-    code = lehmer_code(one_line)
-    spectrum: list[int] = []
-    for i, c in enumerate(code, start=1):
-        spectrum.extend([i] * c)
-    return tuple(sorted(spectrum))
-
-
-def from_code_spectrum(spectrum: tuple[int, ...] | list[int], n: int) -> tuple[int, ...]:
-    """One-line form of the permutation in S_n with the given code spectrum."""
-    spectrum = tuple(spectrum)
-    if list(spectrum) != sorted(spectrum) or any(
-        not 1 <= b <= n - 1 for b in spectrum
-    ):
-        raise ValueError("invalid code spectrum")
-    code = [0] * n
-    for b in spectrum:
-        code[b - 1] += 1
-    if any(code[i] > n - 1 - i for i in range(n)):
-        raise ValueError("invalid code spectrum")
-    return from_lehmer_code(code)

@@ -1,5 +1,7 @@
+import itertools
+from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 
 from flaghom import WeylGroup, root_system
 from flaghom.rootsys import is_positive
@@ -135,3 +137,124 @@ def kappa_phi_by_word(group, pair):
     kappa = next(d // b for d, b in zip(diff, pair.beta) if b)
     assert diff == [kappa * b for b in pair.beta]
     return kappa
+
+
+# -- roots: reflections, path sums and the invariant form ------------------
+
+
+def reflect(system, i, beta):
+    """Simple reflection s_i applied to beta."""
+    k = system.killing_number(i, beta)
+    return tuple(b - k if j == i else b for j, b in enumerate(beta))
+
+
+def apply(matrix, root):
+    """Image of a root under the element whose matrix has the images of the
+    simple roots as columns."""
+    return tuple(sum(r * col[k] for r, col in zip(root, matrix)) for k in range(len(matrix)))
+
+
+def p_sum(system, sequence, x, y, l):
+    """Alternating-product sum P^l_{x,y} over an ordered sequence of
+    simple-root indices; x and y are 1-based positions in the sequence."""
+    m = len(sequence)
+    if not (1 <= x < y <= m) or not (0 <= l < y - x):
+        raise ValueError("invalid P-sum indices")
+    C = system.cartan.cartan_matrix
+    if l == 0:
+        return C[sequence[x - 1]][sequence[y - 1]]
+    total = 0
+    for js in itertools.combinations(range(x + 1, y), l):
+        chain = (x, *js, y)
+        prod = 1
+        for a, b in zip(chain, chain[1:]):
+            prod *= C[sequence[a - 1]][sequence[b - 1]]
+        total += prod
+    return total
+
+
+def conjugated_root(system, sequence):
+    """Oracle: s_1 ... s_{m-1}(d_m) by the closed alternating P-sum formula."""
+    m = len(sequence)
+    if m < 1:
+        raise ValueError("sequence must be nonempty")
+    result = [0] * system.rank
+    result[sequence[-1]] += 1
+    for i in range(1, m):
+        result[sequence[i - 1]] += sum(
+            (-1) ** (l - 1) * p_sum(system, sequence, i, m, l) for l in range(m - i)
+        )
+    return tuple(result)
+
+
+@lru_cache(maxsize=None)
+def symmetrizer(cartan_matrix):
+    """The smallest positive integers d with d_i C[i][j] = d_j C[j][i], for a
+    connected symmetrizable Cartan matrix C."""
+    n = len(cartan_matrix)
+    d = [Fraction(1)] + [None] * (n - 1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if cartan_matrix[i][j] and d[j] is None:
+                d[j] = d[i] * cartan_matrix[i][j] / cartan_matrix[j][i]
+                stack.append(j)
+    scale = lcm(*(x.denominator for x in d))
+    ints = [int(x * scale) for x in d]
+    return tuple(x // gcd(*ints) for x in ints)
+
+
+def bilinear(system, alpha, beta):
+    """Invariant inner product, normalized so (a_i, a_i) = 2 d_i."""
+    C = system.cartan.cartan_matrix
+    d = symmetrizer(C)
+    n = system.rank
+    return sum(alpha[i] * beta[j] * d[i] * C[i][j] for i in range(n) for j in range(n))
+
+
+def coroot_by_form(system, root):
+    """Oracle: the coroot coefficients c_i = 2 d_i r_i / (r, r)."""
+    norm = bilinear(system, root, root)
+    d = symmetrizer(system.cartan.cartan_matrix)
+    assert all(2 * d[i] * r % norm == 0 for i, r in enumerate(root))
+    return tuple(2 * d[i] * r // norm for i, r in enumerate(root))
+
+
+# -- type A codes, by which the acceptance tests name cells --------------
+
+
+def lehmer_code(perm):
+    n = len(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError("invalid one-line form")
+    return tuple(sum(1 for k in range(i + 1, n) if perm[k] < perm[i]) for i in range(n))
+
+
+def from_lehmer_code(code):
+    n = len(code)
+    remaining = list(range(1, n + 1))
+    out = []
+    for i, c in enumerate(code):
+        if not 0 <= c <= n - 1 - i:
+            raise ValueError("invalid Lehmer code")
+        out.append(remaining.pop(c))
+    return tuple(out)
+
+
+def code_spectrum(perm):
+    """Partition re-encoding of the Lehmer code: value i appears code[i] times."""
+    return tuple(sorted(i for i, c in enumerate(lehmer_code(perm), start=1) for _ in range(c)))
+
+
+def from_code_spectrum(spectrum, n):
+    """One-line form of the permutation in S_n with the given code spectrum."""
+    spectrum = tuple(spectrum)
+    if list(spectrum) != sorted(spectrum) or any(not 1 <= b <= n - 1 for b in spectrum):
+        raise ValueError("invalid code spectrum")
+    code = [0] * n
+    for b in spectrum:
+        code[b - 1] += 1
+    if any(code[i] > n - 1 - i for i in range(n)):
+        raise ValueError("invalid code spectrum")
+    return from_lehmer_code(code)

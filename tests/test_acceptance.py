@@ -9,10 +9,8 @@ import time
 
 from flaghom import (
     build_complex,
-    code_spectrum,
     coefficient,
     covers_oracle_typeA,
-    from_code_spectrum,
     h1_h2_closed_form,
     homology_groups,
     kappa_report,
@@ -27,7 +25,7 @@ from flaghom import (
     root_system,
 )
 
-from conftest import cached_group, from_one_line
+from conftest import cached_group, code_spectrum, from_code_spectrum, from_one_line
 
 
 def _verdict(number, name, body):

@@ -3,10 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from flaghom import WeylGroup
+from flaghom import HomologyGroup, WeylGroup
 from flaghom.cli import build_parser, main
 
 from conftest import ORACLE_GROUPS, WEYL_GROUP_ORDERS
@@ -341,6 +342,24 @@ def test_sweep_e7_enumerates_nothing(capsys, monkeypatch):
     assert rows[0]["mod2_betti"][:2] == [1, 7] and sum(rows[0]["mod2_betti"]) == 2903040
 
 
+def test_sweep_rows_bounded_up_front(capsys, monkeypatch):
+    """2^20 theta rows exceed the cap: refused before any theta is tried."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a theta was tried")
+
+    monkeypatch.setattr("flaghom.cli.orientable_via_topcell", refuse)
+    start = time.monotonic()
+    err = _one_line_error(capsys, ["sweep", "A", "20"], 2)
+    assert time.monotonic() - start < 1
+    assert err == (
+        "flaghom: error: sweep too large: 2^20 = 1048576 theta rows, more than 1000000\n"
+    )
+    monkeypatch.undo()
+    code, out = run_cli(capsys, "sweep", "E", "8", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["sweep"]) == 256
+
+
 def test_homology_e8_mod2_builds_no_group(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Weyl group was built")
@@ -389,6 +408,22 @@ def test_orientability_disagreement_names_theta_1_based(capsys, monkeypatch):
         "flaghom: cross-check failure: orientability criteria disagree for "
         "theta=[1, 3]\n"
     )
+
+
+def test_closed_form_disagreement_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("flaghom.cli.h1_h2_closed_form",
+                        lambda n, theta: (HomologyGroup(1, ()), None))
+    assert main(["homology", "A", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "flaghom: cross-check failure: H1 mismatch: complex "
+        "{'free_rank': 0, 'torsion': [2, 2]} vs closed form {'free_rank': 1, 'torsion': []}\n"
+    )
+
+
+def test_a1_has_an_empty_closed_form(capsys):
+    code, out = run_cli(capsys, "homology", "A", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["closed_form"] == {}
 
 
 def test_installed_entry_point():

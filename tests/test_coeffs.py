@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,6 @@ import flaghom.coeffs
 from flaghom import (
     WeylGroup,
     coefficient,
-    from_code_spectrum,
     kappa_report,
     kappa_via_dual_height_remarks,
     kappa_via_height,
@@ -15,11 +15,13 @@ from flaghom import (
     kappa_via_sigma,
     one_line,
 )
-from flaghom.rootsys import height
+from flaghom.rootsys import height, simple_root
 
 from conftest import (
     ORACLE_GROUPS,
     cached_group,
+    code_spectrum,
+    from_code_spectrum,
     from_one_line,
     kappa_phi_by_word,
     kappa_sigma_by_word,
@@ -37,7 +39,7 @@ def test_kappa_one_when_last_letter_deleted():
     g = cached_group("B", 3)
     for pair in all_pairs(g):
         if pair.deleted_index == pair.w.length:
-            assert pair.gamma == g.system.simple(pair.w.word[-1])
+            assert pair.gamma == simple_root(3, pair.w.word[-1])
             assert kappa_via_height(g, pair) == 1
             assert kappa_via_sigma(g, pair) == 1
 
@@ -63,6 +65,20 @@ def test_kappa_phi_worked_examples():
         (p,) = g.bruhat_covers(s, frozenset())
         assert p.w_prime == g.identity
         assert kappa_via_phi(g, p) == 1
+
+
+def test_kappa_phi_rejects_a_difference_off_beta():
+    """phi(w) - phi(w') = kappa * beta with kappa >= 1, so no other positive
+    root divides it, and twice beta does not when kappa is odd."""
+    g = cached_group("B", 3)
+    for pair in all_pairs(g):
+        other = next(r for r in g.system.positive_roots if r != pair.beta)
+        bad = [replace(pair, beta=other)]
+        if kappa_via_phi(g, pair) % 2:
+            bad.append(replace(pair, beta=tuple(2 * b for b in pair.beta)))
+        for fake in bad:
+            with pytest.raises(AssertionError, match="phi-difference inconsistency"):
+                kappa_via_phi(g, fake)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("B", 3), ("G", 2)])
@@ -97,7 +113,7 @@ def test_dual_remarks_f4_simple_gamma():
     g = cached_group("F", 4, 3)
     seen = False
     for pair in all_pairs(g):
-        if pair.gamma == g.system.simple(0):
+        if pair.gamma == simple_root(4, 0):
             # gamma = a1 maps to the reversed simple root a4, height 1
             assert kappa_via_dual_height_remarks(g, pair) == 1
             seen = True
@@ -153,8 +169,6 @@ def _signed(group, pair):
 def boundary_of(group, n, spectrum):
     """Signed boundary of the cell with the given code spectrum, as a map
     from cover spectra to coefficients (zeros dropped)."""
-    from flaghom import code_spectrum
-
     w = from_one_line(group, from_code_spectrum(spectrum, n))
     out = {}
     for pair in group.bruhat_covers(w, frozenset()):

@@ -1,0 +1,36 @@
+"""Every name the package exports is read by the package itself.
+
+Helpers that only tests call live in ``tests/conftest.py`` as oracles.  An
+exported name that no module of ``src/flaghom`` reads outside its own
+definition would be one of those, and fails here.
+"""
+
+import ast
+from pathlib import Path
+
+import flaghom
+
+SRC = Path(__file__).parents[1] / "src" / "flaghom"
+
+
+def names_read(tree):
+    """Names and attribute names referenced by a module's top-level
+    statements, leaving out a definition's own name inside itself."""
+    read = set()
+    for stmt in tree.body:
+        nodes = list(ast.walk(stmt))
+        names = {n.id for n in nodes if isinstance(n, ast.Name)}
+        names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        read |= names
+    return read
+
+
+def test_every_export_is_read_by_another_definition():
+    read = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            read |= names_read(ast.parse(path.read_text()))
+    assert sorted(set(flaghom.__all__) - read) == []
+

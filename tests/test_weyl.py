@@ -3,26 +3,27 @@ from functools import reduce
 
 import pytest
 
-from flaghom import (
-    WeylGroup,
-    code_spectrum,
-    covers_oracle_typeA,
-    from_code_spectrum,
-    one_line,
-    root_system,
-)
-from flaghom.rootsys import is_positive
-from flaghom.weyl import GroupTooLargeError, from_lehmer_code, in_quotient, lehmer_code
+from flaghom import WeylGroup, covers_oracle_typeA, one_line, root_system
+from flaghom.rootsys import is_positive, simple_root
+from flaghom.weyl import GroupTooLargeError, in_quotient
 
 from conftest import (
     ORACLE_GROUPS,
     WEYL_GROUP_ORDERS,
+    apply,
+    bilinear,
     cached_group,
+    code_spectrum,
+    conjugated_root,
     descent_chain,
     enumerated,
+    from_code_spectrum,
+    from_lehmer_code,
     from_one_line,
     is_reduced,
+    lehmer_code,
     phi_by_word,
+    reflect,
     scan_representatives,
 )
 
@@ -182,13 +183,25 @@ def test_inversion_sets():
     assert set(g.inversion_set_of_word(w0.word)) == set(g.system.positive_roots)
 
 
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+def test_inversion_roots_match_path_sums(family, rank):
+    """The k-th inversion root s_1 ... s_{k-1}(d_k) of a word equals the
+    closed alternating P-sum formula on its first k letters (words up to
+    length 10: the formula sums 2^k products)."""
+    g = cached_group(family, rank, 10)
+    for w in g.elements:
+        inversions = g.inversion_set_of_word(w.word)
+        for k in range(w.length):
+            assert inversions[k] == conjugated_root(g.system, w.word[: k + 1])
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("G", 2)])
 def test_inversion_set_is_negativity_set(family, rank):
     """Oracle: Pi_w = positive roots sent negative by w^{-1}."""
     g = cached_group(family, rank)
     for w in g.elements:
         brute = {
-            r for r in g.system.positive_roots if not is_positive(w.inverse_apply(r))
+            r for r in g.system.positive_roots if not is_positive(apply(w.inverse_matrix, r))
         }
         assert set(g.inversion_set_of_word(w.word)) == brute
         assert len(g.inversion_set_of_word(w.word)) == w.length
@@ -231,10 +244,10 @@ def test_covering_pair_roots():
         for p in g.bruhat_covers(w, frozenset()):
             # w = s_beta * w' and w = w' * s_gamma as actions on every root
             for r in g.system.positive_roots:
-                lhs = p.w.apply(r)
-                via_beta = _reflect_root(g.system, p.beta, p.w_prime.apply(r))
+                lhs = apply(p.w.matrix, r)
+                via_beta = _reflect_root(g.system, p.beta, apply(p.w_prime.matrix, r))
                 assert lhs == via_beta
-                via_gamma = p.w_prime.apply(_reflect_root(g.system, p.gamma, r))
+                via_gamma = apply(p.w_prime.matrix, _reflect_root(g.system, p.gamma, r))
                 assert lhs == via_gamma
 
 
@@ -251,7 +264,7 @@ def _covers_by_subwords(g, w):
             continue
         w_prime = g.element_from_word(subword)
         gamma = reduce(
-            lambda r, i: g.system.reflect(i, r), word[idx + 1 :], g.system.simple(word[idx])
+            lambda r, i: reflect(g.system, i, r), word[idx + 1 :], simple_root(g.system.rank, word[idx])
         )
         assert w_prime.matrix not in found
         found[w_prime.matrix] = (w_prime, idx + 1, inversions[idx], gamma)
@@ -367,13 +380,13 @@ def test_simple_products_match_dense_rules(family, rank):
                 tuple(m[j][k] - C[i][j] * m[i][k] for k in range(rank)) for j in range(rank)
             )
             assert g._right_mult(m, i) == dense
-            assert g._left_mult(i, m) == tuple(g.system.reflect(i, col) for col in m)
+            assert g._left_mult(i, m) == tuple(reflect(g.system, i, col) for col in m)
 
 
 def _reflect_root(system, alpha, beta):
     # <alpha_v, beta> via the bilinear form: 2(alpha,beta)/(alpha,alpha)
-    num = system.cartan.bilinear(alpha, beta) * 2
-    den = system.cartan.bilinear(alpha, alpha)
+    num = bilinear(system, alpha, beta) * 2
+    den = bilinear(system, alpha, alpha)
     assert num % den == 0
     k = num // den
     return tuple(b - k * a for a, b in zip(alpha, beta))
