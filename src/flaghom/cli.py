@@ -30,7 +30,7 @@ from .homology import (
     orientable_via_topcell,
     poincare_mod2,
 )
-from .rootsys import POSITIVE_ROOT_COUNTS, RANK_BOUNDS, height, root_system
+from .rootsys import POSITIVE_ROOT_COUNTS, check_rank, height, root_system
 from .weyl import DEFAULT_SIZE_CAP, GroupTooLargeError, WeylGroup, one_line
 
 SCHEMA_VERSION = "2"
@@ -104,9 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def jobspec_from_args(args: argparse.Namespace) -> JobSpec:
     rank = args.rank
-    lo, hi = RANK_BOUNDS[args.family]
-    if not lo <= rank <= (hi or rank):
-        raise ValueError(f"rank {rank} out of range for family {args.family}")
+    check_rank(args.family, rank)
     given = args.theta_complement if args.theta is None else args.theta
     indices = frozenset(i - 1 for i in given or ())
     if not indices <= set(range(rank)):
@@ -320,7 +318,7 @@ def _render_table(rows: list[dict], sep: str) -> list[str]:
 
 def render(report: dict, output_format: str) -> str:
     if output_format == "json":
-        return json.dumps(report, indent=2, sort_keys=True)
+        return json.dumps(report, sort_keys=True)
     sep = "\t" if output_format == "tsv" else "  "
     lines: list[str] = []
     for key, value in report.items():

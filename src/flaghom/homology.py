@@ -99,68 +99,35 @@ def _assert_d_squared_zero(complex_: ChainComplex) -> None:
 def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], int]:
     """Invariant factors (d_1 | d_2 | ...) and rank of an integer matrix.
 
-    Row/column reduction with smallest-absolute-value pivoting; Python ints
-    make entry growth harmless.
+    Each pass clears the row and column of a smallest nonzero entry p by
+    division with remainder; a remainder left is the next, smaller pivot.
+    Once p stands alone, a row with an entry p does not divide is added to
+    p's row mod p, which leaves a smaller pivot too; failing that, |p| is the
+    next factor and its row and column go.  Python ints make growth harmless.
     """
     a = [row[:] for row in matrix]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
     factors: list[int] = []
-    top = 0
-    while True:
-        pivot = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[top], a[pi] = a[pi], a[top]
-        for row in a:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            p = a[top][top]
-            done = True
-            for i in range(top + 1, nrows):
-                q = a[i][top] // p
-                if q:
-                    for j in range(top, ncols):
-                        a[i][j] -= q * a[top][j]
-                if a[i][top]:
-                    a[top], a[i] = a[i], a[top]
-                    done = False
-                    break
-            if not done:
-                continue
-            for j in range(top + 1, ncols):
-                q = a[top][j] // p
-                if q:
-                    for i in range(top, nrows):
-                        a[i][j] -= q * a[i][top]
-                if a[top][j]:
-                    for i in range(top, nrows):
-                        a[i][top], a[i][j] = a[i][j], a[i][top]
-                    done = False
-                    break
-            if done:
-                break
-        # make the pivot divide every remaining entry
-        p = abs(a[top][top])
-        offender = None
-        for i in range(top + 1, nrows):
-            for j in range(top + 1, ncols):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(top, ncols):
-                a[top][j] += a[offender][j]
+    while entries := [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]:
+        _, pi, pj = min(entries)
+        pivot_row = a[pi]
+        p = pivot_row[pj]
+        for i, row in enumerate(a):
+            if i != pi and (q := row[pj] // p):
+                a[i] = [x - q * y for x, y in zip(row, pivot_row)]
+        for j, x in enumerate(pivot_row):
+            if j != pj and (q := x // p):
+                for row in a:
+                    row[j] -= q * row[pj]
+        if sum(map(bool, pivot_row)) > 1 or sum(bool(row[pj]) for row in a) > 1:
             continue
-        factors.append(p)
-        top += 1
+        offender = next((row for row in a if any(x % p for x in row)), None)
+        if offender is not None:
+            a[pi] = [p if j == pj else x % p for j, x in enumerate(offender)]
+            continue
+        factors.append(abs(p))
+        del a[pi]
+        for row in a:
+            del row[pj]
     return factors, len(factors)
 
 

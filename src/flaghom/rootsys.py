@@ -59,6 +59,15 @@ def simple_root(rank: int, i: int) -> Coeffs:
     return tuple(1 if j == i else 0 for j in range(rank))
 
 
+def check_rank(family: str, rank: int) -> None:
+    """Refuse a family outside `RANK_BOUNDS` or a rank outside its bounds."""
+    if family not in RANK_BOUNDS:
+        raise ValueError(f"unknown family {family!r}")
+    lo, hi = RANK_BOUNDS[family]
+    if rank < lo or (hi is not None and rank > hi):
+        raise ValueError(f"rank {rank} out of range for family {family}")
+
+
 @dataclass(frozen=True)
 class CartanData:
     """A Cartan matrix with the family and rank it is named by.
@@ -72,12 +81,8 @@ class CartanData:
     cartan_matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        check_rank(self.family, self.rank)
         n = self.rank
-        if self.family not in RANK_BOUNDS:
-            raise ValueError(f"unknown family {self.family!r}")
-        lo, hi = RANK_BOUNDS[self.family]
-        if n < lo or (hi is not None and n > hi):
-            raise ValueError(f"rank {n} out of range for family {self.family}")
         C = self.cartan_matrix
         if len(C) != n or any(len(row) != n for row in C):
             raise ValueError("Cartan matrix shape mismatch")
@@ -99,6 +104,7 @@ class CartanData:
         numbering (type B has the short root last, G_2 the short root first).
         """
         family = family.upper()
+        check_rank(family, rank)
         C = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
 
         def join(i: int, j: int, cij: int = -1, cji: int = -1) -> None:
@@ -126,8 +132,6 @@ class CartanData:
                 join(i, i + 1)
         elif family == "G":
             join(0, 1, -3, -1)
-        else:
-            raise ValueError(f"unknown family {family!r}")
         return cls(family, rank, tuple(tuple(row) for row in C))
 
 

@@ -17,10 +17,11 @@ chain of it, under the same step test (Deodhar's lemma).  Macdonald's count
 builds anything and must equal its level sizes after; elements built outside
 a walk count against the cap as they are stored.
 
-The Bruhat covers of w come from reflecting w's matrix in each inversion
-root beta (deleting a letter of a reduced word gives s_beta*w), not from
-multiplying out subwords; root heights and the system's table of pairings
-with beta's coroot tell whether the shorter word is reduced.  Covers are
+The Bruhat covers of w are read off its tail chain, not from multiplied-out
+words: deleting letter k = i of w's word gives w*s_gamma, gamma column i of
+the inverse matrix of ``tail`` taken k times, and w = s_beta*w' with
+beta = -w(gamma); root heights and the system's table of pairings with
+gamma's coroot tell whether the shorter word is reduced.  Covers are
 asked for per theta: a cover outside W^Theta is dropped before it is built,
 and the descent chain of an element of W^Theta stays in W^Theta, so the
 elements built on demand for a question about W^Theta all lie in W^Theta.
@@ -32,7 +33,6 @@ cover oracle `covers_oracle_typeA`, the fourth kappa route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .rootsys import Coeffs, RootSystem, is_positive, negate, poincare_mod2, simple_root
 
@@ -173,49 +173,40 @@ class WeylGroup:
     def identity(self) -> WeylElement:
         return self.by_matrix[self._identity_matrix]
 
-    def element_from_word(self, word: tuple[int, ...] | list[int]) -> WeylElement:
-        matrix = reduce(self._right_mult, word, self._identity_matrix)
-        inverse = reduce(lambda inv, i: self._left_mult(i, inv), word, self._identity_matrix)
-        return self._build(matrix, inverse)
-
-    def inversion_set_of_word(self, word: tuple[int, ...] | list[int]) -> list[Coeffs]:
-        """Pi_w in word order: beta_k = s_1 ... s_{k-1}(d_k)."""
-        roots: list[Coeffs] = []
-        prefix = self._identity_matrix
-        for i in word:
-            roots.append(prefix[i])  # prefix applied to a_i is its i-th column
-            prefix = self._right_mult(prefix, i)
-        return roots
-
     def bruhat_covers(
         self, w: WeylElement, theta: frozenset[int] | set[int]
     ) -> list[CoveringPair]:
         """The covering pairs under w whose w' lies in W^Theta, each with its
         unique deleted position.
 
-        Deleting letter I of w's word gives w' = s_beta*w, beta the I-th
-        inversion root; the shorter word is reduced iff s_beta keeps every
-        later inversion root delta positive, that is iff the root s_beta(delta)
-        has positive height ht delta - <delta, beta^v> ht beta, and
-        w = w'*s_gamma with gamma = -w^{-1}(beta).  A w' outside W^Theta is
-        dropped before it is looked up or built, so the memo gains only
-        elements of W^Theta.
+        Deleting letter I = i of w's word gives w' = w*s_gamma, gamma = u^{-1}(a_i)
+        for u ``tail`` I times below w; the shorter word is reduced iff s_gamma
+        keeps every earlier gamma' positive, that is iff the root s_gamma(gamma')
+        has positive height ht gamma' - <gamma', gamma^v> ht gamma, and then
+        w = s_beta*w' with beta = -w(gamma).  A w' outside W^Theta is dropped
+        before it is looked up or built, so the memo gains only elements of W^Theta.
         """
-        inversions = self.inversion_set_of_word(w.word)
-        heights = [sum(delta) for delta in inversions]
+        gammas, u = [], w
+        for i in w.word:
+            u = u.tail
+            gammas.append(u.inverse_matrix[i])
+        heights = [sum(gamma) for gamma in gammas]
         seen: set[Matrix] = set()
         found: list[CoveringPair] = []
-        for idx, (beta, h) in enumerate(zip(inversions, heights)):
-            pairing = self.system.coroot_pairings[beta]  # <a_j, beta^v>
+        for idx, (gamma, h) in enumerate(zip(gammas, heights)):
+            pairing = self.system.coroot_pairings[gamma]  # <a_j, gamma^v>
             if not all(
-                heights[k] > h * sum(p * x for p, x in zip(pairing, inversions[k]))
-                for k in range(idx + 1, len(inversions))
+                heights[k] > h * sum(p * x for p, x in zip(pairing, gammas[k]))
+                for k in range(idx)
             ):
                 continue
-            matrix = tuple(_reflect(beta, pairing, col) for col in w.matrix)
-            w_beta = _apply(w.inverse_matrix, beta)  # w^{-1}(beta) = -gamma
-            gamma = negate(w_beta)
-            assert is_positive(gamma), "gamma of a reduced deletion must be positive"
+            beta = negate(_apply(w.matrix, gamma))
+            assert is_positive(beta), "beta of a reduced deletion must be positive"
+            # w'(a_j) = w(a_j - <a_j, gamma^v> gamma) = w(a_j) + <a_j, gamma^v> beta
+            matrix = tuple(
+                tuple(a + p * b for a, b in zip(col, beta)) if p else col
+                for col, p in zip(w.matrix, pairing)
+            )
             if matrix in seen:
                 raise AssertionError("deleted position is not unique")
             seen.add(matrix)
@@ -223,11 +214,8 @@ class WeylGroup:
                 continue
             w_prime = self.by_matrix.get(matrix)
             if w_prime is None:
-                # w'^{-1} = w^{-1}*s_beta: column j is w^{-1}(a_j - <a_j, beta^v> beta)
-                inverse = tuple(
-                    tuple(a - p * b for a, b in zip(col, w_beta))
-                    for col, p in zip(w.inverse_matrix, pairing)
-                )
+                # w'^{-1} = s_gamma*w^{-1}: reflect every inverse column in gamma
+                inverse = tuple(_reflect(gamma, pairing, col) for col in w.inverse_matrix)
                 w_prime = self._build(matrix, inverse)
             found.append(CoveringPair(w, w_prime, idx + 1, beta, gamma))
         return found

@@ -1,7 +1,9 @@
 import itertools
+import os
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from pathlib import Path
 
 from flaghom import WeylGroup, root_system
 from flaghom.rootsys import is_positive
@@ -17,6 +19,13 @@ WEYL_GROUP_ORDERS = {
     "F": lambda n: 1152,
     "G": lambda n: 12,
 }
+
+
+#: the environment for a child python: this checkout's src first on PYTHONPATH
+CHILD_ENV = dict(os.environ)
+CHILD_ENV["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 #: groups whose whole W the oracle tests walk
@@ -58,6 +67,26 @@ def scan_representatives(system, theta, max_length=None):
     return [w for w in elements if in_quotient(w.matrix, theta)]
 
 
+def element_from_word(group, word):
+    """Oracle: the element with this word, its matrix and inverse multiplied
+    out letter by letter."""
+    matrix = inverse = group.identity.matrix
+    for i in word:
+        # w*s_i, and its inverse s_i*w^{-1}
+        matrix, inverse = group._right_mult(matrix, i), group._left_mult(i, inverse)
+    return group._build(matrix, inverse)
+
+
+def inversion_set_of_word(group, word):
+    """Oracle: Pi_w in word order, beta_k = s_1 ... s_{k-1}(a_k), each read
+    as a column of the multiplied-out prefix."""
+    roots, prefix = [], group.identity.matrix
+    for i in word:
+        roots.append(prefix[i])
+        prefix = group._right_mult(prefix, i)
+    return roots
+
+
 def descent_chain(group, w):
     """The matrices of w and of every element below it on the left-descent
     chain of its canonical word, which is all that building w stores."""
@@ -76,7 +105,7 @@ def from_one_line(group, perm):
     while True:
         k = next((k for k in range(len(perm) - 1) if perm[k] > perm[k + 1]), None)
         if k is None:
-            return group.element_from_word(tuple(reversed(word)))
+            return element_from_word(group, tuple(reversed(word)))
         perm[k], perm[k + 1] = perm[k + 1], perm[k]
         word.append(k)
 
@@ -116,7 +145,7 @@ def orientable_by_root_sum(system, theta):
 
 def phi_by_word(group, word):
     """Oracle: the componentwise sum of the inversion set read off a word."""
-    inversions = group.inversion_set_of_word(word)
+    inversions = inversion_set_of_word(group, word)
     return tuple(sum(delta[k] for delta in inversions) for k in range(group.system.rank))
 
 
@@ -125,7 +154,7 @@ def kappa_sigma_by_word(group, pair):
     set of the suffix of w's word after the deleted letter."""
     word = pair.w.word
     i_deleted = word[pair.deleted_index - 1]
-    suffix = group.inversion_set_of_word(word[pair.deleted_index :])
+    suffix = inversion_set_of_word(group, word[pair.deleted_index :])
     return 1 - sum(group.system.killing_number(i_deleted, delta) for delta in suffix)
 
 

@@ -10,7 +10,7 @@ import pytest
 from flaghom import HomologyGroup, WeylGroup
 from flaghom.cli import build_parser, main
 
-from conftest import ORACLE_GROUPS, WEYL_GROUP_ORDERS
+from conftest import CHILD_ENV, ORACLE_GROUPS, WEYL_GROUP_ORDERS
 
 
 def run_cli(capsys, *argv):
@@ -34,7 +34,7 @@ def test_roots_json(capsys):
 def test_json_round_trip_is_stable(capsys):
     _, out = run_cli(capsys, "homology", "A", "2", "--format", "json")
     report = json.loads(out)
-    assert json.dumps(report, indent=2, sort_keys=True) == out.rstrip("\n")
+    assert json.dumps(report, sort_keys=True) == out.rstrip("\n")
 
 
 def test_weyl_cell_counts(capsys):
@@ -431,13 +431,14 @@ def test_installed_entry_point():
         [sys.executable, "-m", "flaghom.cli", "--version"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
 
 
 def test_closed_stdout_exits_141_without_traceback():
-    # the JSON report (about 210 KiB) is far above the 64 KiB pipe buffer,
+    # the JSON report (about 92 KiB) is above the 64 KiB pipe buffer,
     # and the read end of its pipe is closed before the job starts
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -448,6 +449,7 @@ def test_closed_stdout_exits_141_without_traceback():
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
+            env=CHILD_ENV,
         )
     finally:
         os.close(write_end)

@@ -40,6 +40,8 @@ def test_snf_examples():
     assert smith_normal_form([[0, 0], [0, 0]]) == ([], 0)
     assert smith_normal_form([]) == ([], 0)
     assert smith_normal_form([[2, 4], [6, 8]]) == ([2, 4], 2)
+    assert smith_normal_form([[2, 0], [0, 3]]) == ([1, 6], 2)  # 2 does not divide 3
+    assert smith_normal_form([[-4, 6]]) == ([2], 1)  # a negative pivot leaves a remainder
 
 
 def determinantal_divisors(matrix):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flaghom import CartanData, build_root_system, height, root_system
-from flaghom.rootsys import NotFiniteTypeError, is_positive, negate, simple_root
+from flaghom.rootsys import RANK_BOUNDS, NotFiniteTypeError, is_positive, negate, simple_root
 
 from conftest import bilinear, conjugated_root, coroot_by_form, p_sum, reflect, symmetrizer
 
@@ -66,6 +66,20 @@ def test_cartan_data_validation():
         CartanData("A", 2, ((2, -1), (0, 2)))  # asymmetric zero pattern
     with pytest.raises(ValueError):
         CartanData("E", 5, ((2,),) * 5)  # rank out of range
+
+
+def _out_of_range_ranks():
+    for family, (lo, hi) in RANK_BOUNDS.items():
+        ranks = {lo - 1, 0, -3} | ({hi + 1} if hi is not None else set())
+        yield from ((family, rank) for rank in sorted(ranks))
+
+
+@pytest.mark.parametrize("family,rank", list(_out_of_range_ranks()))
+def test_out_of_range_rank_is_refused_before_the_matrix(family, rank):
+    for build in (CartanData.for_family, root_system):
+        with pytest.raises(ValueError) as exc:
+            build(family, rank)
+        assert str(exc.value) == f"rank {rank} out of range for family {family}"
 
 
 def test_reflect_examples():

@@ -7,12 +7,13 @@ in a subprocess, and only reads ``perfbench/``.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import CHILD_ENV
 
 ROOT = Path(__file__).parents[1]
 
@@ -20,12 +21,10 @@ ROOT = Path(__file__).parents[1]
 @pytest.mark.parametrize("job", ["homology A 2", "sweep A 2"])
 def test_trace_driver_finds_every_entry_point(tmp_path, job):
     spans_path = tmp_path / "spans.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "trace_driver.py"), str(spans_path), job,
          *job.split(), "--format", "json"],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+        capture_output=True, text=True, cwd=tmp_path, env=CHILD_ENV, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     traced = json.loads(spans_path.read_text())

@@ -16,10 +16,12 @@ from conftest import (
     code_spectrum,
     conjugated_root,
     descent_chain,
+    element_from_word,
     enumerated,
     from_code_spectrum,
     from_lehmer_code,
     from_one_line,
+    inversion_set_of_word,
     is_reduced,
     lehmer_code,
     phi_by_word,
@@ -69,7 +71,7 @@ def test_size_cap(monkeypatch):
     monkeypatch.setattr("flaghom.weyl.DEFAULT_SIZE_CAP", 5)
     g = WeylGroup(root_system("A", 4))
     with pytest.raises(GroupTooLargeError, match="more than 5 elements"):
-        g.element_from_word((0, 1, 2, 3, 0, 1))
+        element_from_word(g, (0, 1, 2, 3, 0, 1))
 
 
 @pytest.mark.parametrize(
@@ -145,10 +147,10 @@ def test_elements_on_demand_match_full_group(family, rank):
         return w.word, w.matrix, w.inverse_matrix
 
     for w in full.elements:
-        assert fields(bare.element_from_word(w.word)) == fields(w)
+        assert fields(element_from_word(bare, w.word)) == fields(w)
         # a reduced word that need not be canonical: the reversal gives w^{-1}
         reverse = tuple(reversed(w.word))
-        assert fields(bare.element_from_word(reverse)) == fields(full.element_from_word(reverse))
+        assert fields(element_from_word(bare, reverse)) == fields(element_from_word(full, reverse))
     # built on demand: exactly the elements of W
     assert set(bare.by_matrix) == set(full.by_matrix)
 
@@ -157,7 +159,7 @@ def test_words_are_reduced_and_canonical():
     g = cached_group("B", 3)
     for w in g.elements:
         assert is_reduced(g, w.word)
-        assert len(w.word) == len(g.inversion_set_of_word(w.word))
+        assert len(w.word) == len(inversion_set_of_word(g, w.word))
 
 
 def test_canonical_word_is_lex_min():
@@ -169,18 +171,18 @@ def test_canonical_word_is_lex_min():
         reduced = [
             word
             for word in itertools.product(range(3), repeat=w.length)
-            if is_reduced(g, word) and g.element_from_word(word) == w
+            if is_reduced(g, word) and element_from_word(g, word) == w
         ]
         assert w.word == min(reduced) if reduced else w.word == ()
 
 
 def test_inversion_sets():
     g = cached_group("A", 2)
-    assert g.inversion_set_of_word(g.identity.word) == []
-    s1 = g.element_from_word((0,))
-    assert g.inversion_set_of_word(s1.word) == [(1, 0)]
+    assert inversion_set_of_word(g, g.identity.word) == []
+    s1 = element_from_word(g, (0,))
+    assert inversion_set_of_word(g, s1.word) == [(1, 0)]
     w0 = max(g.elements, key=lambda w: w.length)
-    assert set(g.inversion_set_of_word(w0.word)) == set(g.system.positive_roots)
+    assert set(inversion_set_of_word(g, w0.word)) == set(g.system.positive_roots)
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
@@ -190,7 +192,7 @@ def test_inversion_roots_match_path_sums(family, rank):
     length 10: the formula sums 2^k products)."""
     g = cached_group(family, rank, 10)
     for w in g.elements:
-        inversions = g.inversion_set_of_word(w.word)
+        inversions = inversion_set_of_word(g, w.word)
         for k in range(w.length):
             assert inversions[k] == conjugated_root(g.system, w.word[: k + 1])
 
@@ -203,23 +205,23 @@ def test_inversion_set_is_negativity_set(family, rank):
         brute = {
             r for r in g.system.positive_roots if not is_positive(apply(w.inverse_matrix, r))
         }
-        assert set(g.inversion_set_of_word(w.word)) == brute
-        assert len(g.inversion_set_of_word(w.word)) == w.length
+        assert set(inversion_set_of_word(g, w.word)) == brute
+        assert len(inversion_set_of_word(g, w.word)) == w.length
 
 
 def subword_le(g, small, big_word):
     """Bruhat order oracle by subword enumeration."""
-    target = g.element_from_word(small.word)
+    target = element_from_word(g, small.word)
     for positions in itertools.combinations(range(len(big_word)), small.length):
         word = tuple(big_word[p] for p in positions)
-        if is_reduced(g, word) and g.element_from_word(word) == target:
+        if is_reduced(g, word) and element_from_word(g, word) == target:
             return True
     return small.length == 0
 
 
 def test_bruhat_covers_examples():
     g = cached_group("A", 2)
-    w = g.element_from_word((0, 1))
+    w = element_from_word(g, (0, 1))
     covered = {p.w_prime.word for p in g.bruhat_covers(w, frozenset())}
     assert covered == {(0,), (1,)}
     w0 = max(g.elements, key=lambda w: w.length)
@@ -256,19 +258,34 @@ def _covers_by_subwords(g, w):
     multiply each out from the identity, and reflect the deleted simple root
     over the suffix for gamma.  Pairs as (w', I, beta, gamma) in order of I."""
     word = w.word
-    inversions = g.inversion_set_of_word(word)
+    inversions = inversion_set_of_word(g, word)
     found = {}
     for idx in range(len(word)):
         subword = word[:idx] + word[idx + 1 :]
         if not is_reduced(g, subword):
             continue
-        w_prime = g.element_from_word(subword)
+        w_prime = element_from_word(g, subword)
         gamma = reduce(
             lambda r, i: reflect(g.system, i, r), word[idx + 1 :], simple_root(g.system.rank, word[idx])
         )
         assert w_prime.matrix not in found
         found[w_prime.matrix] = (w_prime, idx + 1, inversions[idx], gamma)
     return sorted(found.values(), key=lambda pair: pair[1])
+
+
+def test_covers_multiply_out_no_word(monkeypatch):
+    """On a warm memo every w' is stored already, so covers read gamma off
+    the tail chain and never multiply a matrix by a simple reflection."""
+    g = cached_group("B", 3)
+    expected = {w: g.bruhat_covers(w, frozenset()) for w in list(g.elements)}
+
+    def refuse(*args):
+        raise AssertionError("bruhat_covers multiplied out a word")
+
+    monkeypatch.setattr(WeylGroup, "_right_mult", refuse)
+    monkeypatch.setattr(WeylGroup, "_left_mult", refuse)
+    for w, pairs in expected.items():
+        assert g.bruhat_covers(w, frozenset()) == pairs
 
 
 def _cover_fields(w_prime, deleted_index, beta, gamma):
@@ -462,7 +479,7 @@ def test_minimal_representative_factorization():
         seen = set()
         for rep in reps:
             for sub in subgroup:
-                prod = g.element_from_word(rep.word + sub.word)
+                prod = element_from_word(g, rep.word + sub.word)
                 assert prod.length == rep.length + sub.length
                 assert prod not in seen
                 seen.add(prod)
