@@ -7,6 +7,13 @@ identical numeric content.  Exit codes: 0 success, 1 internal cross-check
 failure, 2 usage error or a job outside the computable range, 141 (128 +
 SIGPIPE, as a shell reports for coreutils) without a message when the reader
 closes stdout before the report is written.
+
+Every report is checked whole before it is rendered, so a cross-check
+failure prints nothing to stdout.  Rendering reads a top-level table one
+row at a time, and JSON is encoded one top-level value, and one such row, at
+a time into the same bytes as ``json.dumps(report, sort_keys=True)``.
+`report_coeffs` keeps only its checked kappa reports and hands `render` a
+lazy ``map`` that builds each row's dict as the row is encoded.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .coeffs import kappa_report
+from .coeffs import KappaReport, kappa_report
 from .homology import (
     HomologyGroup,
     SignIndeterminateError,
@@ -174,31 +181,36 @@ def report_weyl(job: JobSpec) -> dict:
     }
 
 
+def _pair_out(rep: KappaReport) -> dict:
+    pair = rep.pair
+    return {
+        "w": _word_out(pair.w.word),
+        "w_prime": _word_out(pair.w_prime.word),
+        "I": pair.deleted_index,
+        "beta": list(pair.beta),
+        "gamma": list(pair.gamma),
+        "kappa": rep.kappa,
+        "kappa_routes": {
+            "height": rep.kappa_height,
+            "sigma": rep.kappa_sigma,
+            "phi": rep.kappa_phi,
+            "typeA": rep.kappa_typeA,
+        },
+        "magnitude": rep.magnitude,
+        "sign": rep.sign,
+    }
+
+
 def report_coeffs(job: JobSpec) -> dict:
+    """Every pair's kappa report is built, and so checked, here; its row dict
+    is built by `render` as the row is written."""
     group = WeylGroup(root_system(job.family, job.rank))
-    pairs = []
-    for w in group.minimal_representatives(job.theta, job.max_degree):
-        for pair in group.bruhat_covers(w, job.theta):
-            rep = kappa_report(group, pair)
-            pairs.append(
-                {
-                    "w": _word_out(pair.w.word),
-                    "w_prime": _word_out(pair.w_prime.word),
-                    "I": pair.deleted_index,
-                    "beta": list(pair.beta),
-                    "gamma": list(pair.gamma),
-                    "kappa": rep.kappa,
-                    "kappa_routes": {
-                        "height": rep.kappa_height,
-                        "sigma": rep.kappa_sigma,
-                        "phi": rep.kappa_phi,
-                        "typeA": rep.kappa_typeA,
-                    },
-                    "magnitude": rep.magnitude,
-                    "sign": rep.sign,
-                }
-            )
-    return {"covering_pairs": pairs}
+    reports = [
+        kappa_report(group, pair)
+        for w in group.minimal_representatives(job.theta, job.max_degree)
+        for pair in group.bruhat_covers(w, job.theta)
+    ]
+    return {"covering_pairs": map(_pair_out, reports)}
 
 
 def report_homology(job: JobSpec) -> dict:
@@ -294,39 +306,61 @@ REPORTERS = {
 # -- rendering ------------------------------------------------------------
 
 
+# a top-level list of rows, or the lazy rows of `report_coeffs`
+_TABLE = (list, map)
+
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if value is None:
         return "?"
-    if isinstance(value, list):
+    if isinstance(value, _TABLE):
         return ",".join(_fmt(v) for v in value)
     if isinstance(value, dict):
         return ";".join(f"{k}={_fmt(v)}" for k, v in value.items())
     return str(value)
 
 
-def _render_table(rows: list[dict], sep: str) -> list[str]:
-    if not rows:
-        return []
-    headers = list(rows[0])
-    lines = [sep.join(headers)]
-    for row in rows:
-        lines.append(sep.join(_fmt(row.get(h)) for h in headers))
-    return lines
+def _render_json(report: dict) -> str:
+    """``json.dumps(report, sort_keys=True)``, encoded one top-level value,
+    and one row of a top-level table, at a time."""
+    pieces = ["{"]
+    for key in sorted(report):
+        if len(pieces) > 1:
+            pieces.append(", ")
+        pieces += [_JSON.encode(key), ": "]
+        value = report[key]
+        if not isinstance(value, _TABLE):
+            pieces.append(_JSON.encode(value))
+            continue
+        pieces.append("[")
+        for n, row in enumerate(value):
+            if n:
+                pieces.append(", ")
+            pieces.append(_JSON.encode(row))
+        pieces.append("]")
+    pieces.append("}")
+    return "".join(pieces)
 
 
 def render(report: dict, output_format: str) -> str:
     if output_format == "json":
-        return json.dumps(report, sort_keys=True)
+        return _render_json(report)
     sep = "\t" if output_format == "tsv" else "  "
     lines: list[str] = []
     for key, value in report.items():
         if key in ("schema_version", "job"):
             continue
-        if isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"# {key}")
-            lines.extend(_render_table(value, sep))
+        rows = iter(value if isinstance(value, _TABLE) else ())
+        first = next(rows, None)
+        if isinstance(first, dict):
+            headers = list(first)
+            lines += [f"# {key}", sep.join(headers)]
+            for row in itertools.chain([first], rows):
+                lines.append(sep.join(_fmt(row.get(h)) for h in headers))
         elif isinstance(value, dict) and key == "matrices":
             lines.append("# matrices")
             for k in sorted(value, key=int):

@@ -43,7 +43,7 @@ def kappa_via_phi(group: WeylGroup, pair: CoveringPair) -> int:
     i = next(i for i, b in enumerate(pair.beta) if b)  # beta is a positive root
     kappa = diff[i] // pair.beta[i]
     if diff != [kappa * b for b in pair.beta]:
-        raise AssertionError("phi-difference inconsistency")
+        raise AssertionError(f"phi-difference inconsistency on {pair}")
     return kappa
 
 
@@ -70,11 +70,11 @@ def kappa_via_dual_height_remarks(group: WeylGroup, pair: CoveringPair) -> int:
         target = root_system(_DUAL_FAMILY[family], system.rank)
         image = dual_coeffs
     if not target.is_root(image):
-        raise AssertionError("transported root is not a root of the dual system")
+        raise AssertionError(f"transported root is not a root of the dual system on {pair}")
     return height(image)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KappaReport:
     """All kappa routes for one covering pair, plus magnitude and sign."""
 
@@ -128,7 +128,7 @@ def kappa_report(group: WeylGroup, pair: CoveringPair) -> KappaReport:
             one_line(pair.w.word, n), one_line(pair.w_prime.word, n)
         )
         if positions is None:
-            raise AssertionError("covering pair rejected by the one-line oracle")
+            raise AssertionError(f"covering pair rejected by the one-line oracle on {pair}")
         ka = positions[1] - positions[0]
         values.add(ka)
     if group.system.family in _DUAL_FAMILY:

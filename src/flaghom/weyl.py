@@ -50,7 +50,7 @@ def _check_size(size: int) -> None:
         raise GroupTooLargeError(f"group too large: more than {DEFAULT_SIZE_CAP} elements")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylElement:
     word: tuple[int, ...]
     matrix: Matrix
@@ -77,13 +77,18 @@ def _apply(matrix: Matrix, root: Coeffs) -> Coeffs:
     )
 
 
+def _named(w: WeylElement) -> str:
+    """w's canonical word, 1-based, as the CLI prints it."""
+    return str([i + 1 for i in w.word])
+
+
 def _reflect(beta: Coeffs, pairing: Coeffs, v: Coeffs) -> Coeffs:
     """s_beta(v) = v - <v, beta^v> beta, with pairing[j] = <a_j, beta^v>."""
     k = sum(p * x for p, x in zip(pairing, v))
     return tuple(x - k * b for x, b in zip(v, beta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoveringPair:
     """w covers w_prime, with the deleted 1-based position I in w's
     canonical word and the two reflection roots: w = s_beta * w' = w' * s_gamma."""
@@ -96,9 +101,7 @@ class CoveringPair:
 
     def __str__(self) -> str:
         """The pair as the CLI names it: 1-based words and I."""
-        w = [i + 1 for i in self.w.word]
-        w_prime = [i + 1 for i in self.w_prime.word]
-        return f"w={w} w'={w_prime} I={self.deleted_index}"
+        return f"w={_named(self.w)} w'={_named(self.w_prime)} I={self.deleted_index}"
 
 
 class WeylGroup:
@@ -201,14 +204,17 @@ class WeylGroup:
             ):
                 continue
             beta = negate(_apply(w.matrix, gamma))
-            assert is_positive(beta), "beta of a reduced deletion must be positive"
+            if not is_positive(beta):
+                raise AssertionError(f"beta of a reduced deletion is not positive "
+                                     f"on w={_named(w)} I={idx + 1}")
             # w'(a_j) = w(a_j - <a_j, gamma^v> gamma) = w(a_j) + <a_j, gamma^v> beta
             matrix = tuple(
                 tuple(a + p * b for a, b in zip(col, beta)) if p else col
                 for col, p in zip(w.matrix, pairing)
             )
             if matrix in seen:
-                raise AssertionError("deleted position is not unique")
+                raise AssertionError(f"deleted position is not unique "
+                                     f"on w={_named(w)} I={idx + 1}")
             seen.add(matrix)
             if not in_quotient(matrix, theta):
                 continue

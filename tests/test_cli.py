@@ -1,13 +1,16 @@
 import argparse
+import contextlib
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
-from flaghom import HomologyGroup, WeylGroup
+import flaghom.coeffs
+from flaghom import HomologyGroup, WeylGroup, root_system
 from flaghom.cli import build_parser, main
 
 from conftest import CHILD_ENV, ORACLE_GROUPS, WEYL_GROUP_ORDERS
@@ -31,10 +34,60 @@ def test_roots_json(capsys):
     assert long_root["coroot"] == [1, 1] and long_root["coroot_height"] == 2
 
 
-def test_json_round_trip_is_stable(capsys):
-    _, out = run_cli(capsys, "homology", "A", "2", "--format", "json")
-    report = json.loads(out)
-    assert json.dumps(report, sort_keys=True) == out.rstrip("\n")
+@pytest.mark.parametrize("job", [
+    "roots B 3",
+    "weyl A 3 --theta 2",
+    "coeffs A 3",
+    "coeffs A 2 --max-degree 0",
+    "homology A 2",
+    "homology B 3 --ring z2",
+    "orientability A 4 --theta 1,3",
+    "sweep A 3",
+])
+def test_json_round_trip_is_stable(capsys, job):
+    """The report, encoded row by row, is exactly ``json.dumps`` of itself."""
+    _, out = run_cli(capsys, *job.split(), "--format", "json")
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("output_format, sep", [("text", "  "), ("tsv", "\t")])
+def test_empty_table_prints_its_name(capsys, output_format, sep):
+    code, out = run_cli(capsys, "coeffs", "A", "2", "--max-degree", "0",
+                        "--format", output_format)
+    assert code == 0
+    assert out == f"covering_pairs{sep}\n"
+
+
+def test_coeffs_prints_nothing_before_every_check_has_run(capsys, monkeypatch):
+    """Rows are formatted as they are written, but every pair is checked
+    first: a disagreement under the top cell, the last cell, prints no row."""
+    sigma = flaghom.coeffs.kappa_via_sigma
+    monkeypatch.setattr("flaghom.coeffs.kappa_via_sigma",
+                        lambda group, pair: sigma(group, pair) + (pair.w.length == 6))
+    assert main(["coeffs", "A", "3", "--max-degree", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "flaghom: cross-check failure: kappa routes disagree on "
+        "w=[1, 2, 1, 3, 2, 1] w'=[2, 1, 3, 2, 1] I=1: [1, 2]\n"
+    )
+
+
+@pytest.mark.parametrize("output_format, limit_mib", [("json", 4.0), ("tsv", 4.34)])
+def test_coeffs_peak_traced_memory(output_format, limit_mib):
+    """One row dict at a time: `coeffs A 5` up to degree 15 (an 862 KB JSON
+    report) peaked at 7.33 MiB traced in JSON, 4.34 in TSV, when every row
+    was a dict before the first was encoded."""
+    root_system("A", 5)  # cached, so the traced peak is the job's alone
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["coeffs", "A", "5", "--max-degree", "15", "--format", output_format])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < limit_mib * 2**20
 
 
 def test_weyl_cell_counts(capsys):

@@ -15,7 +15,7 @@ from flaghom import (
     kappa_via_sigma,
     one_line,
 )
-from flaghom.rootsys import height, simple_root
+from flaghom.rootsys import RootSystem, height, simple_root
 
 from conftest import (
     ORACLE_GROUPS,
@@ -80,6 +80,41 @@ def test_kappa_phi_rejects_a_difference_off_beta():
         for fake in bad:
             with pytest.raises(AssertionError, match="phi-difference inconsistency"):
                 kappa_via_phi(g, fake)
+
+
+def _pair(family, rank, word, w_prime_word):
+    """The covering pair of the cached group from word down to w_prime_word, 0-based."""
+    g = cached_group(family, rank)
+    w = element_from_word(g, word)
+    pair = next(p for p in g.bruhat_covers(w, frozenset()) if p.w_prime.word == w_prime_word)
+    return g, pair
+
+
+def test_phi_difference_inconsistency_names_the_pair():
+    g, pair = _pair("A", 2, (1, 0), (0,))
+    with pytest.raises(AssertionError) as exc:
+        kappa_via_phi(g, replace(pair, beta=(1, 0)))  # the true beta is (0, 1)
+    assert str(exc.value) == "phi-difference inconsistency on w=[2, 1] w'=[1] I=1"
+
+
+def test_untransported_root_names_the_pair(monkeypatch):
+    g, pair = _pair("G", 2, (0, 1), (0,))
+    monkeypatch.setattr(RootSystem, "is_root", lambda system, root: False)
+    with pytest.raises(AssertionError) as exc:
+        kappa_via_dual_height_remarks(g, pair)
+    assert str(exc.value) == (
+        "transported root is not a root of the dual system on w=[1, 2] w'=[1] I=2"
+    )
+
+
+def test_one_line_oracle_rejection_names_the_pair(monkeypatch):
+    g, pair = _pair("A", 2, (1, 0), (1,))
+    monkeypatch.setattr(flaghom.coeffs, "covers_oracle_typeA", lambda w, w_prime: None)
+    with pytest.raises(AssertionError) as exc:
+        kappa_report(g, pair)
+    assert str(exc.value) == (
+        "covering pair rejected by the one-line oracle on w=[2, 1] w'=[2] I=2"
+    )
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("B", 3), ("G", 2)])

@@ -1,4 +1,5 @@
-"""Every name the package exports is read by the package itself.
+"""Every name the package exports is read by the package itself, and every
+check in it survives ``python -O``.
 
 Helpers that only tests call live in ``tests/conftest.py`` as oracles.  An
 exported name that no module of ``src/flaghom`` reads outside its own
@@ -34,3 +35,15 @@ def test_every_export_is_read_by_another_definition():
             read |= names_read(ast.parse(path.read_text()))
     assert sorted(set(flaghom.__all__) - read) == []
 
+
+
+def test_no_assert_statement_in_the_package():
+    """``python -O`` strips assert statements, so every check in the package
+    raises AssertionError explicitly."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -286,6 +287,28 @@ def test_covers_multiply_out_no_word(monkeypatch):
     monkeypatch.setattr(WeylGroup, "_left_mult", refuse)
     for w, pairs in expected.items():
         assert g.bruhat_covers(w, frozenset()) == pairs
+
+
+def test_cover_beta_not_positive_names_w_and_i(monkeypatch):
+    g = cached_group("A", 2)
+    w = element_from_word(g, (1, 0))
+    # w(gamma) = gamma makes beta = -gamma negative on the first deletion
+    monkeypatch.setattr("flaghom.weyl._apply", lambda matrix, root: root)
+    with pytest.raises(AssertionError) as exc:
+        g.bruhat_covers(w, frozenset())
+    assert str(exc.value) == "beta of a reduced deletion is not positive on w=[2, 1] I=1"
+
+
+def test_repeated_deleted_position_names_w_and_i():
+    """Zero pairings with every coroot make every deletion give w itself,
+    so the second deletion repeats the first."""
+    system = root_system("A", 2)
+    zero = {root: (0, 0) for root in system.positive_roots}
+    g = WeylGroup(replace(system, coroot_pairings=zero))
+    w = element_from_word(g, (1, 0))
+    with pytest.raises(AssertionError) as exc:
+        g.bruhat_covers(w, frozenset())
+    assert str(exc.value) == "deleted position is not unique on w=[2, 1] I=2"
 
 
 def _cover_fields(w_prime, deleted_index, beta, gamma):
