@@ -13,7 +13,8 @@ failure prints nothing to stdout.  Rendering reads a top-level table one
 row at a time, and JSON is encoded one top-level value, and one such row, at
 a time into the same bytes as ``json.dumps(report, sort_keys=True)``.
 `report_coeffs` keeps only its checked kappa reports and hands `render` a
-lazy ``map`` that builds each row's dict as the row is encoded.
+lazy ``map`` that builds each row's dict, dropping that pair's report, as the
+row is encoded; `main` writes the report to stdout in fixed slices.
 """
 
 from __future__ import annotations
@@ -203,14 +204,15 @@ def _pair_out(rep: KappaReport) -> dict:
 
 def report_coeffs(job: JobSpec) -> dict:
     """Every pair's kappa report is built, and so checked, here; its row dict
-    is built by `render` as the row is written."""
+    is built by `render` as the row is written, and the report dropped then."""
     group = WeylGroup(root_system(job.family, job.rank))
     reports = [
         kappa_report(group, pair)
         for w in group.minimal_representatives(job.theta, job.max_degree)
         for pair in group.bruhat_covers(w, job.theta)
     ]
-    return {"covering_pairs": map(_pair_out, reports)}
+    reports.reverse()
+    return {"covering_pairs": map(_pair_out, (reports.pop() for _ in range(len(reports))))}
 
 
 def report_homology(job: JobSpec) -> dict:
@@ -310,6 +312,7 @@ REPORTERS = {
 _TABLE = (list, map)
 
 _JSON = json.JSONEncoder(sort_keys=True)
+_SLICE = 1 << 16  # characters of a report written, and so encoded, at a time
 
 
 def _fmt(value) -> str:
@@ -387,8 +390,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"flaghom: cross-check failure: {exc}", file=sys.stderr)
         return 1
     report = {"schema_version": SCHEMA_VERSION, "job": job.as_dict(), **body}
+    text = render(report, job.output_format)
     try:
-        print(render(report, job.output_format), flush=True)
+        sys.stdout.writelines(text[i : i + _SLICE] for i in range(0, len(text), _SLICE))
+        print(flush=True)
     except BrokenPipeError:
         # point stdout at devnull, so that the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -5,7 +5,8 @@ roots are indexed 0..rank-1 throughout the library.  One reflection closure
 finds the positive roots and carries each one's coroot along, since
 s_i(b)^v = s_i(b^v); no invariant form is needed.  Each positive root b keeps
 its coroot and the row <a_j, b^v> of its pairings with the simple roots, both
-tabulated once when the system is built.
+tabulated once when the system is built, as is ``roots``: every root, positive
+or negative, to the one tuple that Weyl elements and covers store for it.
 `poincare_mod2` counts W^Theta by length from the root heights alone.
 """
 
@@ -137,13 +138,14 @@ class CartanData:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Table of positive roots, their coroot coefficients and, per positive
-    root b, its pairings (<a_0, b^v>, ..., <a_{n-1}, b^v>)."""
+    """Positive roots, their coroots, per positive root b its pairings
+    (<a_0, b^v>, ..., <a_{n-1}, b^v>), and every root's one canonical tuple."""
 
     cartan: CartanData
     positive_roots: tuple[Coeffs, ...]
     coroot_coeffs: dict[Coeffs, Coeffs] = field(repr=False)
     coroot_pairings: dict[Coeffs, Coeffs] = field(repr=False)
+    roots: dict[Coeffs, Coeffs] = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -212,7 +214,8 @@ def build_root_system(cartan: CartanData) -> RootSystem:
         root: tuple(sum(c * C[i][j] for i, c in enumerate(coroots[root])) for j in range(n))
         for root in ordered
     }
-    return RootSystem(cartan, ordered, coroots, pairings)
+    roots = {root: root for root in ordered + tuple(map(negate, ordered))}
+    return RootSystem(cartan, ordered, coroots, pairings, roots)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,10 @@
 """Weyl group elements, reduced words, Bruhat covers and coset representatives.
 
 Elements are identified by their action on the simple-root coordinates: the
-``matrix`` field holds the images of the simple roots as columns, which is a
-faithful finite representation.  Words are canonical (lexicographically
+``matrix`` field holds the images of the simple roots as columns, a faithful
+finite representation.  These columns, those of ``inverse_matrix`` and each
+cover's beta and gamma are the root system's own tuples from ``roots``, so a
+group stores each root vector once.  Words are canonical (lexicographically
 smallest reduced): the word of w is its smallest left descent j followed by
 the word of s_j*w, which is one length lower, so each word costs one lookup.
 Each element keeps that s_j*w as its ``tail`` (so following ``tail`` I times
@@ -71,10 +73,7 @@ class WeylElement:
 
 def _apply(matrix: Matrix, root: Coeffs) -> Coeffs:
     """Image of a root under the element with this matrix."""
-    n = len(matrix)
-    return tuple(
-        sum(root[j] * matrix[j][i] for j in range(n)) for i in range(n)
-    )
+    return tuple(sum(x * col[i] for x, col in zip(root, matrix)) for i in range(len(root)))
 
 
 def _named(w: WeylElement) -> str:
@@ -85,7 +84,7 @@ def _named(w: WeylElement) -> str:
 def _reflect(beta: Coeffs, pairing: Coeffs, v: Coeffs) -> Coeffs:
     """s_beta(v) = v - <v, beta^v> beta, with pairing[j] = <a_j, beta^v>."""
     k = sum(p * x for p, x in zip(pairing, v))
-    return tuple(x - k * b for x, b in zip(v, beta))
+    return tuple(x - k * b for x, b in zip(v, beta)) if k else v
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +114,7 @@ class WeylGroup:
         # support of row i of C: the columns that w*s_i changes, and the
         # coordinates that the pairing with a_i's coroot reads
         self._moved = [tuple((j, C[i][j]) for j in range(n) if C[i][j]) for i in range(n)]
-        self._identity_matrix: Matrix = tuple(simple_root(n, i) for i in range(n))
+        self._identity_matrix: Matrix = tuple(system.roots[simple_root(n, i)] for i in range(n))
         identity = WeylElement((), self._identity_matrix, self._identity_matrix, None, (0,) * n)
         self.by_matrix: dict[Matrix, WeylElement] = {identity.matrix: identity}
 
@@ -128,19 +127,20 @@ class WeylGroup:
 
     def _right_mult(self, matrix: Matrix, i: int) -> Matrix:
         """Matrix of w*s_i: column j becomes col_j - C[i][j]*col_i, so only
-        column i and its diagram neighbours move."""
+        column i and its diagram neighbours move, each to the system's own root."""
         cols = list(matrix)
         ci = matrix[i]
         for j, c in self._moved[i]:
-            cols[j] = tuple(a - c * b for a, b in zip(matrix[j], ci))
+            cols[j] = self.system.roots[tuple(a - c * b for a, b in zip(matrix[j], ci))]
         return tuple(cols)
 
     def _left_mult(self, i: int, matrix: Matrix) -> Matrix:
-        """Matrix of s_i*w: reflect every column, which changes only its
-        entry i, by the pairing of the column with a_i's coroot."""
-        moved = self._moved[i]
+        """Matrix of s_i*w: reflect every column, which moves its entry i by its
+        pairing with a_i's coroot; a column that moves becomes the system's root."""
+        moved, roots = self._moved[i], self.system.roots
         return tuple(
-            col[:i] + (col[i] - sum(c * col[j] for j, c in moved),) + col[i + 1 :]
+            roots[col[:i] + (col[i] - k,) + col[i + 1 :]]
+            if (k := sum(c * col[j] for j, c in moved)) else col
             for col in matrix
         )
 
@@ -157,10 +157,13 @@ class WeylGroup:
             # j is a left descent iff w^{-1}(a_j) < 0; an element of W reaches
             # a stored one, at worst e, in at most l(w_0) steps
             j = next((k for k in range(n) if not is_positive(inverse[k])), None)
-            if j is None or len(chain) == len(self.system.positive_roots):
-                raise AssertionError("matrix is not an element of W")
             chain.append((j, matrix, inverse))
-            matrix, inverse = self._left_mult(j, matrix), self._right_mult(inverse, j)
+            if j is None or len(chain) > len(self.system.positive_roots):
+                raise AssertionError(f"matrix {chain[0][1]} is not an element of W")
+            try:  # a product with a column that is not a root
+                matrix, inverse = self._left_mult(j, matrix), self._right_mult(inverse, j)
+            except KeyError:
+                raise AssertionError(f"matrix {chain[0][1]} is not an element of W") from None
         for j, matrix, inverse in reversed(chain):
             phi = below.phi  # phi(w) = a_j + s_j(phi(s_j*w)) moves coordinate j only
             phi_j = phi[j] + 1 - sum(c * phi[k] for k, c in self._moved[j])
@@ -194,6 +197,7 @@ class WeylGroup:
             u = u.tail
             gammas.append(u.inverse_matrix[i])
         heights = [sum(gamma) for gamma in gammas]
+        roots = self.system.roots
         seen: set[Matrix] = set()
         found: list[CoveringPair] = []
         for idx, (gamma, h) in enumerate(zip(gammas, heights)):
@@ -203,26 +207,29 @@ class WeylGroup:
                 for k in range(idx)
             ):
                 continue
-            beta = negate(_apply(w.matrix, gamma))
-            if not is_positive(beta):
-                raise AssertionError(f"beta of a reduced deletion is not positive "
-                                     f"on w={_named(w)} I={idx + 1}")
-            # w'(a_j) = w(a_j - <a_j, gamma^v> gamma) = w(a_j) + <a_j, gamma^v> beta
-            matrix = tuple(
-                tuple(a + p * b for a, b in zip(col, beta)) if p else col
-                for col, p in zip(w.matrix, pairing)
-            )
-            if matrix in seen:
-                raise AssertionError(f"deleted position is not unique "
-                                     f"on w={_named(w)} I={idx + 1}")
-            seen.add(matrix)
-            if not in_quotient(matrix, theta):
-                continue
-            w_prime = self.by_matrix.get(matrix)
-            if w_prime is None:
-                # w'^{-1} = s_gamma*w^{-1}: reflect every inverse column in gamma
-                inverse = tuple(_reflect(gamma, pairing, col) for col in w.inverse_matrix)
-                w_prime = self._build(matrix, inverse)
+            try:  # a vector that is not a root: s_gamma does not act as a reflection
+                beta = roots[negate(_apply(w.matrix, gamma))]
+                if not is_positive(beta):
+                    raise AssertionError(f"beta of a reduced deletion is not positive "
+                                         f"on w={_named(w)} I={idx + 1}")
+                # w'(a_j) = w(a_j - <a_j, gamma^v> gamma) = w(a_j) + <a_j, gamma^v> beta
+                matrix = tuple(
+                    roots[tuple(a + p * b for a, b in zip(col, beta))] if p else col
+                    for col, p in zip(w.matrix, pairing)
+                )
+                if matrix in seen:
+                    raise AssertionError(f"deleted position is not unique "
+                                         f"on w={_named(w)} I={idx + 1}")
+                seen.add(matrix)
+                if not in_quotient(matrix, theta):
+                    continue
+                w_prime = self.by_matrix.get(matrix)
+                if w_prime is None:
+                    # w'^{-1} = s_gamma*w^{-1}: reflect every inverse column in gamma
+                    inverse = tuple(roots[_reflect(gamma, pairing, c)] for c in w.inverse_matrix)
+                    w_prime = self._build(matrix, inverse)
+            except KeyError:
+                raise AssertionError(f"w' is not in W on w={_named(w)} I={idx + 1}") from None
             found.append(CoveringPair(w, w_prime, idx + 1, beta, gamma))
         return found
 

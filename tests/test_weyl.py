@@ -139,6 +139,58 @@ def test_build_refuses_a_matrix_outside_w():
         g._build(minus_one, minus_one)
 
 
+def test_build_refuses_a_column_that_is_not_a_root():
+    """2*a_1 is no root of A2: the first step of the descent walk reflects
+    it to -2*a_1, which the root table lacks, and that is a cross-check
+    failure, not a KeyError."""
+    g = WeylGroup(root_system("A", 2))
+    a1, a2 = g.identity.matrix
+    matrix = (tuple(2 * x for x in a1), a2)
+    inverse = (tuple(-x for x in a1), a2)  # a left descent at 1
+    with pytest.raises(AssertionError, match="not an element of W"):
+        g._build(matrix, inverse)
+
+
+def test_cover_outside_w_names_w_and_i():
+    """Doubled pairings make s_gamma no reflection, so the first deletion
+    gives a w' column that is not a root."""
+    system = root_system("A", 2)
+    doubled = {root: tuple(2 * p for p in pairing)
+               for root, pairing in system.coroot_pairings.items()}
+    g = WeylGroup(replace(system, coroot_pairings=doubled))
+    w = element_from_word(g, (1, 0))
+    with pytest.raises(AssertionError) as exc:
+        g.bruhat_covers(w, frozenset())
+    assert str(exc.value) == "w' is not in W on w=[2, 1] I=1"
+
+
+def _assert_own_root_tuples(g, pairs):
+    """Every stored column, beta and gamma is the root system's own tuple."""
+    roots = g.system.roots
+    for w in g.by_matrix.values():
+        for col in w.matrix + w.inverse_matrix:
+            assert roots[col] is col
+    for pair in pairs:
+        assert roots[pair.beta] is pair.beta and roots[pair.gamma] is pair.gamma
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("G", 2)])
+def test_full_flag_shares_the_root_tuples(family, rank):
+    g = WeylGroup(root_system(family, rank))
+    full = frozenset()
+    pairs = [p for w in g.minimal_representatives(full) for p in g.bruhat_covers(w, full)]
+    assert len(g.by_matrix) == WEYL_GROUP_ORDERS[family](rank)
+    assert pairs
+    _assert_own_root_tuples(g, pairs)
+
+
+def test_top_cells_share_the_root_tuples():
+    g = WeylGroup(root_system("A", 4))
+    pairs = [p for theta in _subsets(4) for p in g.bruhat_covers(g.top_cell(theta), theta)]
+    assert pairs
+    _assert_own_root_tuples(g, pairs)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("G", 2)])
 def test_elements_on_demand_match_full_group(family, rank):
     full = cached_group(family, rank)
