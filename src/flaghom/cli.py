@@ -24,7 +24,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .coeffs import KappaReport, kappa_report
@@ -38,21 +37,16 @@ from .homology import (
     orientable_via_topcell,
     poincare_mod2,
 )
-from .rootsys import POSITIVE_ROOT_COUNTS, check_rank, height, root_system
+from .rootsys import POSITIVE_ROOT_COUNTS, Record, check_rank, height, root_system
 from .weyl import DEFAULT_SIZE_CAP, GroupTooLargeError, WeylGroup, one_line
 
 SCHEMA_VERSION = "2"
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    command: str
-    family: str
-    rank: int
-    theta: frozenset[int]  # 0-based internally
-    max_degree: int
-    ring: str
-    output_format: str
+class JobSpec(Record):
+    """One CLI job; theta is 0-based internally."""
+
+    __slots__ = ("command", "family", "rank", "theta", "max_degree", "ring", "output_format")
 
     def as_dict(self) -> dict:
         return {
@@ -129,15 +123,8 @@ def jobspec_from_args(args: argparse.Namespace) -> JobSpec:
         raise ValueError(f"max-degree must be <= {top}, the number of positive roots + 1")
     if args.command == "homology" and args.ring == "z" and max_degree < 1:
         raise ValueError("homology needs --max-degree >= 1")
-    return JobSpec(
-        command=args.command,
-        family=args.family,
-        rank=rank,
-        theta=theta,
-        max_degree=max_degree,
-        ring=args.ring.upper(),
-        output_format=args.format,
-    )
+    return JobSpec(args.command, args.family, rank, theta, max_degree, args.ring.upper(),
+                   args.format)
 
 
 # -- report builders ------------------------------------------------------

@@ -12,9 +12,7 @@ carries from its construction, so neither rebuilds an inversion set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .rootsys import Coeffs, height, root_system
+from .rootsys import Coeffs, Record, height, root_system
 from .weyl import CoveringPair, WeylGroup, covers_oracle_typeA, one_line
 
 
@@ -74,17 +72,12 @@ def kappa_via_dual_height_remarks(group: WeylGroup, pair: CoveringPair) -> int:
     return height(image)
 
 
-@dataclass(frozen=True, slots=True)
-class KappaReport:
-    """All kappa routes for one covering pair, plus magnitude and sign."""
+class KappaReport(Record):
+    """All kappa routes for one covering pair, plus magnitude and sign
+    (kappa_typeA and sign None where they do not apply or are unknown)."""
 
-    pair: CoveringPair
-    kappa_height: int
-    kappa_sigma: int
-    kappa_phi: int
-    kappa_typeA: int | None
-    magnitude: int
-    sign: int | None
+    __slots__ = ("pair", "kappa_height", "kappa_sigma", "kappa_phi", "kappa_typeA",
+                 "magnitude", "sign")
 
     @property
     def kappa(self) -> int:

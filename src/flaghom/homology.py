@@ -11,11 +11,10 @@ takes from root heights without building W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .coeffs import coefficient, kappa_via_height
-from .rootsys import poincare_mod2  # noqa: F401  (the CLI and the package import it here)
+from .rootsys import Record, poincare_mod2  # noqa: F401  (poincare_mod2 is re-exported here)
 from .weyl import WeylElement, WeylGroup
 
 
@@ -23,18 +22,17 @@ class SignIndeterminateError(ValueError):
     """A homology degree depends on boundary rows with undetermined signs."""
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
-    free_rank: int
-    torsion: tuple[int, ...]
+class HomologyGroup(Record):
+    """Z^free_rank plus the cyclic groups of orders ``torsion``."""
+
+    __slots__ = ("free_rank", "torsion")
 
 
-@dataclass
-class ChainComplex:
-    cells: dict[int, list[WeylElement]]
-    boundaries: dict[int, list[list[int]]]  # rows: k-cells, cols: (k-1)-cells
-    max_degree: int
-    indeterminate_rows: dict[int, list[int]]  # zeroed rows per degree
+class ChainComplex(Record):
+    """Cells per degree; boundaries[k] has a row per k-cell and a column per
+    (k-1)-cell; indeterminate_rows[k] lists the zeroed rows of degree k."""
+
+    __slots__ = ("cells", "boundaries", "max_degree", "indeterminate_rows")
 
 
 def build_complex(

@@ -8,12 +8,16 @@ its coroot and the row <a_j, b^v> of its pairings with the simple roots, both
 tabulated once when the system is built, as is ``roots``: every root, positive
 or negative, to the one tuple that Weyl elements and covers store for it.
 `poincare_mod2` counts W^Theta by length from the root heights alone.
+
+`CartanData`, `RootSystem` and the package's other values are `Record`s:
+plain ``__slots__`` classes with read-only fields set by position, so no class
+body generates code and each CLI job's fresh interpreter imports little.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 
 Coeffs = tuple[int, ...]
 
@@ -28,15 +32,15 @@ POSITIVE_ROOT_COUNTS = {
     "G": lambda n: 6,
 }
 
-RANK_BOUNDS = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (3, None),
-    "E": (6, 8),
-    "F": (4, 4),
-    "G": (2, 2),
-}
+#: the most positive roots a job may close under reflections; it bounds the
+#: ranks of A-D, where `roots A 200` (20,100 roots) would run for minutes
+MAX_POSITIVE_ROOTS = 2000
+
+RANK_BOUNDS = {  # A-D up to the largest rank within MAX_POSITIVE_ROOTS
+    family: (lo, next(n for n in count(lo)
+                      if POSITIVE_ROOT_COUNTS[family](n + 1) > MAX_POSITIVE_ROOTS))
+    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+} | {"E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
 class NotFiniteTypeError(ValueError):
@@ -65,26 +69,54 @@ def check_rank(family: str, rank: int) -> None:
     if family not in RANK_BOUNDS:
         raise ValueError(f"unknown family {family!r}")
     lo, hi = RANK_BOUNDS[family]
-    if rank < lo or (hi is not None and rank > hi):
+    if not lo <= rank <= hi:
         raise ValueError(f"rank {rank} out of range for family {family}")
 
 
-@dataclass(frozen=True)
-class CartanData:
+class Record:
+    """A read-only value: ``__slots__`` names the fields, which ``__init__``
+    sets by position; equal to a record of the same type with equal fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()  # copy and pickle rebuild by position
+
+
+class CartanData(Record):
     """A Cartan matrix with the family and rank it is named by.
 
     ``cartan_matrix[i][j]`` is the pairing of the i-th simple coroot with the
     j-th simple root.
     """
 
-    family: str
-    rank: int
-    cartan_matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("family", "rank", "cartan_matrix")
 
-    def __post_init__(self) -> None:
-        check_rank(self.family, self.rank)
-        n = self.rank
-        C = self.cartan_matrix
+    def __init__(self, family: str, rank: int, cartan_matrix: tuple[tuple[int, ...], ...]) -> None:
+        super().__init__(family, rank, cartan_matrix)
+        check_rank(family, rank)
+        n, C = rank, cartan_matrix
         if len(C) != n or any(len(row) != n for row in C):
             raise ValueError("Cartan matrix shape mismatch")
         for i in range(n):
@@ -136,16 +168,11 @@ class CartanData:
         return cls(family, rank, tuple(tuple(row) for row in C))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """Positive roots, their coroots, per positive root b its pairings
     (<a_0, b^v>, ..., <a_{n-1}, b^v>), and every root's one canonical tuple."""
 
-    cartan: CartanData
-    positive_roots: tuple[Coeffs, ...]
-    coroot_coeffs: dict[Coeffs, Coeffs] = field(repr=False)
-    coroot_pairings: dict[Coeffs, Coeffs] = field(repr=False)
-    roots: dict[Coeffs, Coeffs] = field(repr=False)
+    __slots__ = ("cartan", "positive_roots", "coroot_coeffs", "coroot_pairings", "roots")
 
     @property
     def rank(self) -> int:

@@ -10,6 +10,9 @@ the word of s_j*w, which is one length lower, so each word costs one lookup.
 Each element keeps that s_j*w as its ``tail`` (so following ``tail`` I times
 gives the element whose word is ``word[I:]``) and the sum ``phi`` of its
 inversion set, phi(w) = a_j + s_j(phi(s_j*w)), which moves one coordinate.
+`WeylElement` and `CoveringPair` are `rootsys.Record`s, read-only
+``__slots__`` records built by position; an element is equal to another, and
+hashes, by its matrix alone.
 
 A `WeylGroup` starts from e and builds the elements a query reads by this
 rule, memoised in one dict ``by_matrix``.  W^Theta up to a length, the cells
@@ -34,9 +37,7 @@ cover oracle `covers_oracle_typeA`, the fourth kappa route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .rootsys import Coeffs, RootSystem, is_positive, negate, poincare_mod2, simple_root
+from .rootsys import Coeffs, Record, RootSystem, is_positive, negate, poincare_mod2, simple_root
 
 Matrix = tuple[Coeffs, ...]  # columns: images of the simple roots
 
@@ -52,13 +53,11 @@ def _check_size(size: int) -> None:
         raise GroupTooLargeError(f"group too large: more than {DEFAULT_SIZE_CAP} elements")
 
 
-@dataclass(frozen=True, slots=True)
-class WeylElement:
-    word: tuple[int, ...]
-    matrix: Matrix
-    inverse_matrix: Matrix
-    tail: WeylElement | None = field(compare=False, repr=False)  # word[1:]; None for e
-    phi: Coeffs = field(compare=False, repr=False)  # sum of the inversion set
+class WeylElement(Record):
+    """word, matrix, inverse_matrix, tail (the element with word[1:]; None
+    for e) and phi (the sum of the inversion set); equal by matrix alone."""
+
+    __slots__ = ("word", "matrix", "inverse_matrix", "tail", "phi")
 
     @property
     def length(self) -> int:
@@ -87,16 +86,11 @@ def _reflect(beta: Coeffs, pairing: Coeffs, v: Coeffs) -> Coeffs:
     return tuple(x - k * b for x, b in zip(v, beta)) if k else v
 
 
-@dataclass(frozen=True, slots=True)
-class CoveringPair:
+class CoveringPair(Record):
     """w covers w_prime, with the deleted 1-based position I in w's
     canonical word and the two reflection roots: w = s_beta * w' = w' * s_gamma."""
 
-    w: WeylElement
-    w_prime: WeylElement
-    deleted_index: int
-    beta: Coeffs
-    gamma: Coeffs
+    __slots__ = ("w", "w_prime", "deleted_index", "beta", "gamma")
 
     def __str__(self) -> str:
         """The pair as the CLI names it: 1-based words and I."""

@@ -455,6 +455,19 @@ def test_sweep_rows_bounded_up_front(capsys, monkeypatch):
     assert len(json.loads(out)["sweep"]) == 256
 
 
+def test_rank_above_the_root_cap_refused_up_front(capsys, monkeypatch):
+    """A200 has 20,100 positive roots, more than `MAX_POSITIVE_ROOTS`: refused
+    before any root is closed, where the closure would run for minutes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a root system was built")
+
+    monkeypatch.setattr("flaghom.rootsys.build_root_system", refuse)
+    start = time.monotonic()
+    err = _one_line_error(capsys, ["roots", "A", "200"], 2)
+    assert time.monotonic() - start < 1
+    assert err == "flaghom: error: rank 200 out of range for family A\n"
+
+
 def test_homology_e8_mod2_builds_no_group(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Weyl group was built")
