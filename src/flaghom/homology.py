@@ -207,7 +207,7 @@ def orientable_typeA(n: int, theta: frozenset[int] | set[int]) -> bool:
 
 def orientable_via_topcell(group: WeylGroup, theta: frozenset[int] | set[int]) -> bool:
     """Sign-independent orientability: the top cell of W^Theta has vanishing
-    boundary iff kappa is odd for every cover staying inside W^Theta."""
+    boundary iff kappa, read off gamma alone, is odd for every cover in W^Theta."""
     return all(
         kappa_via_height(group, pair) % 2 == 1
         for pair in group.bruhat_covers(group.top_cell(theta), theta)

@@ -2,9 +2,9 @@
 
 Roots are plain integer coefficient tuples over the simple basis.  Simple
 roots are indexed 0..rank-1 throughout the library.  One reflection closure
-finds the positive roots and carries each one's coroot along, since
-s_i(b)^v = s_i(b^v); no invariant form is needed.  Each positive root b keeps
-its coroot and the row <a_j, b^v> of its pairings with the simple roots, both
+over the nonzero Cartan entries finds the positive roots and carries each
+one's coroot along, since s_i(b)^v = s_i(b^v), and the row <a_j, b^v> of its
+pairings with the simple roots; no invariant form is needed.  Both are
 tabulated once when the system is built, as is ``roots``: every root, positive
 or negative, to the one tuple that Weyl elements and covers store for it.
 `poincare_mod2` counts W^Theta by length from the root heights alone.
@@ -202,33 +202,44 @@ class RootSystem(Record):
         return height(self.coroot(alpha))
 
 
-def build_root_system(cartan: CartanData) -> RootSystem:
-    """Close the simple roots under simple reflections, coroots alongside.
+def nonzero_rows(matrix: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, int], ...]]:
+    """Each row i of a Cartan matrix as its nonzero (j, C[i][j]) pairs."""
+    return [tuple((j, c) for j, c in enumerate(row) if c) for row in matrix]
 
-    Breadth-first closure keeping the all-nonnegative vectors; a Cartan
-    matrix that is not of finite type (a non-symmetrizable one among them)
-    blows past the classical positive-root bound and is rejected.  Each new
-    root s_i(b) gets the coroot s_i(b^v) = b^v - <a_i, b^v> a_i^v, which moves
-    coordinate i only, by sum_j C[j][i] b^v_j.
+
+def build_root_system(cartan: CartanData) -> RootSystem:
+    """Close the simple roots under simple reflections, coroots and pairings alongside.
+
+    Breadth-first closure keeping the positive vectors; a Cartan matrix that
+    is not of finite type (a non-symmetrizable one among them) blows past
+    the classical positive-root bound and is rejected.  s_i(b) moves b_i only,
+    by sum_j C[i][j] b_j over row i's nonzero entries; its coroot
+    s_i(b^v) = b^v - <a_i, b^v> a_i^v moves b^v_i only, and its pairings
+    <a_j, s_i(b^v)> = <a_j, b^v> - <a_i, b^v> C[i][j] move where row i does.
     """
     n = cartan.rank
     C = cartan.cartan_matrix
+    rows = nonzero_rows(C)
     bound = POSITIVE_ROOT_COUNTS[cartan.family](n)
 
     coroots = {simple_root(n, i): simple_root(n, i) for i in range(n)}
+    pairings = {simple_root(n, i): tuple(C[i]) for i in range(n)}
     frontier = list(coroots)
     while frontier:
         new: list[Coeffs] = []
         for root in frontier:
-            for i in range(n):
-                k = sum(C[i][j] * root[j] for j in range(n))
-                image = tuple(
-                    c - k if j == i else c for j, c in enumerate(root)
-                )
-                if is_positive(image) and image not in coroots:
-                    dual = coroots[root]
-                    dual_k = sum(C[j][i] * dual[j] for j in range(n))
+            for i, row in enumerate(rows):
+                k = sum(c * root[j] for j, c in row)
+                if not k or k > root[i]:  # b > 0, so s_i(b) > 0 iff coordinate i stays >= 0
+                    continue
+                image = root[:i] + (root[i] - k,) + root[i + 1 :]
+                if image not in coroots:
+                    dual, pairing = coroots[root], list(pairings[root])
+                    dual_k = pairing[i]
                     coroots[image] = dual[:i] + (dual[i] - dual_k,) + dual[i + 1 :]
+                    for j, c in row:
+                        pairing[j] -= dual_k * c
+                    pairings[image] = tuple(pairing)
                     new.append(image)
         if len(coroots) > bound:
             raise NotFiniteTypeError("not finite type")
@@ -237,10 +248,6 @@ def build_root_system(cartan: CartanData) -> RootSystem:
         raise NotFiniteTypeError("not finite type")
 
     ordered = tuple(sorted(coroots, key=lambda r: (height(r), r)))
-    pairings = {  # <a_j, b^v> = sum_i b^v_i C[i][j]
-        root: tuple(sum(c * C[i][j] for i, c in enumerate(coroots[root])) for j in range(n))
-        for root in ordered
-    }
     roots = {root: root for root in ordered + tuple(map(negate, ordered))}
     return RootSystem(cartan, ordered, coroots, pairings, roots)
 

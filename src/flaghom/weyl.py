@@ -19,17 +19,16 @@ rule, memoised in one dict ``by_matrix``.  W^Theta up to a length, the cells
 of F_Theta, is one walk up the left weak order; `WeylGroup.top_cell` walks one
 chain of it, under the same step test (Deodhar's lemma).  Macdonald's count
 (`rootsys.poincare_mod2`) refuses a walk above ``DEFAULT_SIZE_CAP`` before it
-builds anything and must equal its level sizes after; elements built outside
-a walk count against the cap as they are stored.
+builds anything and must equal its level sizes after; a top cell's descent
+chain, built outside any walk, counts against the cap as it is stored.
 
 The Bruhat covers of w are read off its tail chain, not from multiplied-out
 words: deleting letter k = i of w's word gives w*s_gamma, gamma column i of
 the inverse matrix of ``tail`` taken k times, and w = s_beta*w' with
 beta = -w(gamma); root heights and the system's table of pairings with
 gamma's coroot tell whether the shorter word is reduced.  Covers are
-asked for per theta: a cover outside W^Theta is dropped before it is built,
-and the descent chain of an element of W^Theta stays in W^Theta, so the
-elements built on demand for a question about W^Theta all lie in W^Theta.
+asked for per theta; a cover outside W^Theta is dropped, and every other w'
+is looked up in the memo, never built (None where nothing has stored it).
 
 Type A one-line forms name cells in the CLI's output and feed the one-line
 cover oracle `covers_oracle_typeA`, the fourth kappa route.
@@ -37,7 +36,8 @@ cover oracle `covers_oracle_typeA`, the fourth kappa route.
 
 from __future__ import annotations
 
-from .rootsys import Coeffs, Record, RootSystem, is_positive, negate, poincare_mod2, simple_root
+from .rootsys import (Coeffs, Record, RootSystem, is_positive, negate, nonzero_rows, poincare_mod2,
+                      simple_root)
 
 Matrix = tuple[Coeffs, ...]  # columns: images of the simple roots
 
@@ -80,15 +80,10 @@ def _named(w: WeylElement) -> str:
     return str([i + 1 for i in w.word])
 
 
-def _reflect(beta: Coeffs, pairing: Coeffs, v: Coeffs) -> Coeffs:
-    """s_beta(v) = v - <v, beta^v> beta, with pairing[j] = <a_j, beta^v>."""
-    k = sum(p * x for p, x in zip(pairing, v))
-    return tuple(x - k * b for x, b in zip(v, beta)) if k else v
-
-
 class CoveringPair(Record):
     """w covers w_prime, with the deleted 1-based position I in w's
-    canonical word and the two reflection roots: w = s_beta * w' = w' * s_gamma."""
+    canonical word and the two reflection roots: w = s_beta * w' = w' * s_gamma.
+    ``w_prime`` is the stored element, or None when no walk has built it."""
 
     __slots__ = ("w", "w_prime", "deleted_index", "beta", "gamma")
 
@@ -104,10 +99,9 @@ class WeylGroup:
     def __init__(self, system: RootSystem):
         self.system = system
         n = system.rank
-        C = system.cartan.cartan_matrix
         # support of row i of C: the columns that w*s_i changes, and the
         # coordinates that the pairing with a_i's coroot reads
-        self._moved = [tuple((j, C[i][j]) for j in range(n) if C[i][j]) for i in range(n)]
+        self._moved = nonzero_rows(system.cartan.cartan_matrix)
         self._identity_matrix: Matrix = tuple(system.roots[simple_root(n, i)] for i in range(n))
         identity = WeylElement((), self._identity_matrix, self._identity_matrix, None, (0,) * n)
         self.by_matrix: dict[Matrix, WeylElement] = {identity.matrix: identity}
@@ -183,8 +177,8 @@ class WeylGroup:
         for u ``tail`` I times below w; the shorter word is reduced iff s_gamma
         keeps every earlier gamma' positive, that is iff the root s_gamma(gamma')
         has positive height ht gamma' - <gamma', gamma^v> ht gamma, and then
-        w = s_beta*w' with beta = -w(gamma).  A w' outside W^Theta is dropped
-        before it is looked up or built, so the memo gains only elements of W^Theta.
+        w = s_beta*w' with beta = -w(gamma).  A w' outside W^Theta is dropped;
+        the others are looked up in ``by_matrix``, never built (None if absent).
         """
         gammas, u = [], w
         for i in w.word:
@@ -217,14 +211,9 @@ class WeylGroup:
                 seen.add(matrix)
                 if not in_quotient(matrix, theta):
                     continue
-                w_prime = self.by_matrix.get(matrix)
-                if w_prime is None:
-                    # w'^{-1} = s_gamma*w^{-1}: reflect every inverse column in gamma
-                    inverse = tuple(roots[_reflect(gamma, pairing, c)] for c in w.inverse_matrix)
-                    w_prime = self._build(matrix, inverse)
             except KeyError:
                 raise AssertionError(f"w' is not in W on w={_named(w)} I={idx + 1}") from None
-            found.append(CoveringPair(w, w_prime, idx + 1, beta, gamma))
+            found.append(CoveringPair(w, self.by_matrix.get(matrix), idx + 1, beta, gamma))
         return found
 
     def minimal_representatives(

@@ -3,7 +3,7 @@ from functools import reduce
 
 import pytest
 
-from flaghom import WeylGroup, covers_oracle_typeA, one_line, root_system
+from flaghom import WeylGroup, covers_oracle_typeA, one_line, orientable_via_topcell, root_system
 from flaghom.rootsys import RootSystem, is_positive, simple_root
 from flaghom.weyl import GroupTooLargeError, in_quotient
 
@@ -407,17 +407,26 @@ def test_covers_match_subword_oracle(family, rank):
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
 def test_top_cell_covers_match_subword_oracle(family, rank):
-    """On a group that stores only e, most covers of a top cell are missing
-    from ``by_matrix`` and are built from the reflected inverse."""
+    """On a group that stores only a top cell's descent chain, its covers
+    match the subword oracle in I, beta and gamma; w' is the stored element
+    when ``by_matrix`` holds it and None when not, and nothing is built."""
     full = cached_group(family, rank)
-    built = 0
+    stored_count = missing_count = 0
     for theta in _subsets(rank):
         bare = WeylGroup(full.system)
         top = bare.top_cell(theta)
-        before = len(bare.by_matrix)
-        _assert_covers_match_oracle(bare, top, full)
-        built += len(bare.by_matrix) - before
-    assert built > 0
+        memo = dict(bare.by_matrix)
+        pairs = bare.bruhat_covers(top, frozenset())
+        oracle = _covers_by_subwords(full, top)
+        assert [(p.w, p.deleted_index, p.beta, p.gamma) for p in pairs] == [
+            (top, index, beta, gamma) for _, index, beta, gamma in oracle
+        ]
+        for p, (w_prime, *_) in zip(pairs, oracle):
+            assert p.w_prime is memo.get(w_prime.matrix)
+            stored_count += p.w_prime is not None
+            missing_count += p.w_prime is None
+        assert bare.by_matrix == memo
+    assert stored_count > 0 and missing_count > 0
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
@@ -439,12 +448,15 @@ def test_theta_covers_are_filtered_covers(family, rank):
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
 def test_top_cell_memo_stays_in_quotient(family, rank):
-    """A cover that leaves W^Theta is dropped before it is built, so the
-    on-demand memo holds only elements of W^Theta."""
-    system = cached_group(family, rank, 0).system
+    """Orientability by the top cell builds the top cell alone, with its
+    descent chain, and no cover: the memo is exactly that chain, which lies
+    in W^Theta."""
+    system = root_system(family, rank)
     for theta in _subsets(rank):
         bare = WeylGroup(system)
-        bare.bruhat_covers(bare.top_cell(theta), theta)
+        orientable_via_topcell(bare, theta)
+        top = bare.top_cell(theta)
+        assert set(bare.by_matrix) == descent_chain(bare, top)
         assert all(in_quotient(m, theta) for m in bare.by_matrix)
 
 
