@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("weyl", "Weyl group elements and canonical words"),
         ("coeffs", "covering pairs with kappa and boundary coefficients"),
         ("homology", "boundary matrices and homology groups"),
-        ("orientability", "orientability by both criteria"),
+        ("orientability", "orientability by the top cell, and in type A by parity too"),
         ("sweep", "tabulate H1/H2/orientability over all theta"),
     ]:
         p = sub.add_parser(name, help=helptext)
@@ -244,8 +244,7 @@ def _orientable_typeA_checked(n: int, theta: frozenset[int], top_cell: bool) -> 
 
 
 def report_orientability(job: JobSpec) -> dict:
-    group = WeylGroup(root_system(job.family, job.rank))
-    top_cell = orientable_via_topcell(group, job.theta)
+    top_cell = orientable_via_topcell(root_system(job.family, job.rank), job.theta)
     orientable: dict = {"top_cell": top_cell}
     if job.family == "A":
         criterion = _orientable_typeA_checked(job.rank + 1, job.theta, top_cell)
@@ -259,7 +258,7 @@ def report_sweep(job: JobSpec) -> dict:
             f"sweep too large: 2^{job.rank} = {2**job.rank} theta rows, "
             f"more than {DEFAULT_SIZE_CAP}"
         )
-    group = WeylGroup(root_system(job.family, job.rank))
+    system = root_system(job.family, job.rank)
     n = job.rank + 1
     rows = []
     for size in range(job.rank + 1):
@@ -267,7 +266,7 @@ def report_sweep(job: JobSpec) -> dict:
             theta = frozenset(theta_tuple)
             row: dict = {
                 "theta": sorted(i + 1 for i in theta),
-                "orientable": orientable_via_topcell(group, theta),
+                "orientable": orientable_via_topcell(system, theta),
             }
             if job.family == "A":
                 _orientable_typeA_checked(n, theta, row["orientable"])
@@ -277,7 +276,7 @@ def report_sweep(job: JobSpec) -> dict:
                     if h2 is not None:
                         row["h2_torsion_rank"] = len(h2.torsion)
             else:
-                row["mod2_betti"] = poincare_mod2(group.system, theta)
+                row["mod2_betti"] = poincare_mod2(system, theta)
             rows.append(row)
     return {"sweep": rows}
 

@@ -6,15 +6,16 @@ coefficient engine.  Rows the low-degree sign table cannot sign are zeroed,
 and `homology_groups` certifies every degree that depends on them; in type A
 the table reaches degree 3, hence H_1 and H_2.  Every entry is 0 or +-2, so
 mod-2 homology is the length count of W^Theta, which `rootsys.poincare_mod2`
-takes from root heights without building W.
+takes from root heights without building W; orientability reads the top
+cell's covers off the root system alone.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .coeffs import coefficient, kappa_via_height
-from .rootsys import Record, poincare_mod2  # noqa: F401  (poincare_mod2 is re-exported here)
+from .coeffs import coefficient
+from .rootsys import Coeffs, Record, RootSystem, poincare_mod2  # noqa: F401 (re-exported)
 from .weyl import WeylElement, WeylGroup
 
 
@@ -205,10 +206,15 @@ def orientable_typeA(n: int, theta: frozenset[int] | set[int]) -> bool:
     return len({g % 2 for g in gaps}) <= 1
 
 
-def orientable_via_topcell(group: WeylGroup, theta: frozenset[int] | set[int]) -> bool:
-    """Sign-independent orientability: the top cell of W^Theta has vanishing
-    boundary iff kappa, read off gamma alone, is odd for every cover in W^Theta."""
-    return all(
-        kappa_via_height(group, pair) % 2 == 1
-        for pair in group.bruhat_covers(group.top_cell(theta), theta)
-    )
+def orientable_via_topcell(system: RootSystem, theta: frozenset[int] | set[int]) -> bool:
+    """The top cell w_0 w_{0,Theta} of W^Theta has zero boundary iff kappa =
+    ht(gamma^v) is odd on each of its covers w_0 s_i w_{0,Theta}, i outside
+    Theta (x -> w_0 x w_{0,Theta} reverses the Bruhat order of W^Theta), whose
+    gamma_i = w_{0,Theta}(a_i) is the highest root with coefficient 1 at a_i and
+    0 at every other simple root outside Theta; no Weyl element is built."""
+    top: dict[int, Coeffs] = {}
+    for root in system.positive_roots:  # by height, so each gamma_i is kept last
+        outside = [(i, c) for i, c in enumerate(root) if c and i not in theta]
+        if len(outside) == 1 and outside[0][1] == 1:
+            top[outside[0][0]] = root
+    return all(system.coroot_height(gamma) % 2 for gamma in top.values())

@@ -16,11 +16,10 @@ hashes, by its matrix alone.
 
 A `WeylGroup` starts from e and builds the elements a query reads by this
 rule, memoised in one dict ``by_matrix``.  W^Theta up to a length, the cells
-of F_Theta, is one walk up the left weak order; `WeylGroup.top_cell` walks one
-chain of it, under the same step test (Deodhar's lemma).  Macdonald's count
-(`rootsys.poincare_mod2`) refuses a walk above ``DEFAULT_SIZE_CAP`` before it
-builds anything and must equal its level sizes after; a top cell's descent
-chain, built outside any walk, counts against the cap as it is stored.
+of F_Theta, is one walk up the left weak order, whose steps stay in W^Theta
+by Deodhar's lemma.  Macdonald's count (`rootsys.poincare_mod2`) refuses a
+walk above ``DEFAULT_SIZE_CAP`` before it builds anything and must equal its
+level sizes after; `_build` checks the cap as it stores each element too.
 
 The Bruhat covers of w are read off its tail chain, not from multiplied-out
 words: deleting letter k = i of w's word gives w*s_gamma, gamma column i of
@@ -75,9 +74,9 @@ def _apply(matrix: Matrix, root: Coeffs) -> Coeffs:
     return tuple(sum(x * col[i] for x, col in zip(root, matrix)) for i in range(len(root)))
 
 
-def _named(w: WeylElement) -> str:
-    """w's canonical word, 1-based, as the CLI prints it."""
-    return str([i + 1 for i in w.word])
+def _named(w: WeylElement | None) -> str:
+    """w's canonical word, 1-based, as the CLI prints it; "?" for None."""
+    return "?" if w is None else str([i + 1 for i in w.word])
 
 
 class CoveringPair(Record):
@@ -246,24 +245,6 @@ class WeylGroup:
             raise AssertionError(f"walk of W^Theta finds {sizes} elements by length, "
                                  f"Macdonald's count {counts}")
         return [w for level in levels for w in level]
-
-    def top_cell(self, theta: frozenset[int] | set[int]) -> WeylElement:
-        """The longest element w_0 w_{0,Theta} of W^Theta, without enumeration.
-
-        W^Theta is the interval [e, w_0 w_{0,Theta}] of the left weak order,
-        so a walk from e that takes any step `_steps_up` allows can only stop
-        at its top.
-        """
-        theta = self._checked_theta(theta)
-        matrix = inverse = self._identity_matrix
-        i = 0
-        while i < self.system.rank:
-            if self._steps_up(matrix, inverse, i, theta):
-                matrix, inverse = self._left_mult(i, matrix), self._right_mult(inverse, i)
-                i = 0
-            else:
-                i += 1
-        return self._build(matrix, inverse)
 
     def _steps_up(self, matrix: Matrix, inverse: Matrix, i: int, theta: frozenset[int]) -> bool:
         """For w in W^Theta: is s_i*w one longer and in W^Theta?  It is longer

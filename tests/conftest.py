@@ -67,6 +67,25 @@ def scan_representatives(system, theta, max_length=None):
     return [w for w in elements if in_quotient(w.matrix, theta)]
 
 
+def top_cell(group, theta):
+    """Oracle: the longest element w_0 w_{0,Theta} of W^Theta, without enumeration.
+
+    W^Theta is the interval [e, w_0 w_{0,Theta}] of the left weak order,
+    so a walk from e that takes any step `_steps_up` allows can only stop
+    at its top.
+    """
+    theta = group._checked_theta(theta)
+    matrix = inverse = group._identity_matrix
+    i = 0
+    while i < group.system.rank:
+        if group._steps_up(matrix, inverse, i, theta):
+            matrix, inverse = group._left_mult(i, matrix), group._right_mult(inverse, i)
+            i = 0
+        else:
+            i += 1
+    return group._build(matrix, inverse)
+
+
 def element_from_word(group, word):
     """Oracle: the element with this word, its matrix and inverse multiplied
     out letter by letter."""

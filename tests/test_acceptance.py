@@ -152,9 +152,9 @@ def test_criterion_5_h2_closed_form():
 def test_criterion_6_orientability():
     def body():
         for n in (3, 4, 5, 6, 7, 8, 9):
-            g = cached_group("A", n - 1, 0)  # the top-cell route needs no enumeration
+            system = root_system("A", n - 1)  # the top-cell route needs no Weyl element
             for theta in _subsets(n - 1):
-                assert orientable_typeA(n, theta) == orientable_via_topcell(g, theta)
+                assert orientable_typeA(n, theta) == orientable_via_topcell(system, theta)
             projective = frozenset(range(1, n - 1))
             assert orientable_typeA(n, projective) == (n % 2 == 0)
 

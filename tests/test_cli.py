@@ -12,10 +12,10 @@ import pytest
 
 import flaghom.cli
 import flaghom.coeffs
-from flaghom import HomologyGroup, WeylGroup
+from flaghom import HomologyGroup, WeylGroup, poincare_mod2, root_system
 from flaghom.cli import build_parser, main
 
-from conftest import CHILD_ENV, ORACLE_GROUPS, WEYL_GROUP_ORDERS
+from conftest import CHILD_ENV, ORACLE_GROUPS, WEYL_GROUP_ORDERS, orientable_by_root_sum
 
 
 def run_cli(capsys, *argv):
@@ -127,11 +127,12 @@ def test_coeffs_peak_traced_memory(output_format, limit_mib):
 
 
 def test_orientability_peak_traced_memory():
-    """The walk to the top cell of A20 stores the system's own root tuples and
-    looks its covers up without building them: 0.79 MiB traced, against
-    3.55 MiB when every cover in W^Theta was built and 11.1 MiB when each
-    column was also a fresh tuple."""
-    assert _traced_peak_mib(["orientability", "A", "20"]) < 0.86
+    """The top cell of A20 has its covers read off the root system, with no
+    Weyl element built: 0.065 MiB traced, against 0.79 MiB when the walk to
+    the top cell stored its descent chain and tested its covers, 3.55 MiB
+    when every cover in W^Theta was built and 11.1 MiB when each column was
+    also a fresh tuple."""
+    assert _traced_peak_mib(["orientability", "A", "20"]) < 0.072
 
 
 def test_weyl_cell_counts(capsys):
@@ -479,6 +480,29 @@ def test_homology_e8_mod2_builds_no_group(capsys, monkeypatch):
     assert code == 0
     betti = json.loads(out)["mod2_betti"]
     assert len(betti) == 121 and sum(betti) == 696729600
+
+
+def test_orientability_and_sweep_build_no_group(capsys, monkeypatch):
+    """Both read the top cell's covers off the root system: no `WeylGroup`."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Weyl group was built")
+
+    monkeypatch.setattr(WeylGroup, "__init__", refuse)
+    code, out = run_cli(capsys, "orientability", "E", "8", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["orientable"] == {"top_cell": True}
+    code, out = run_cli(capsys, "orientability", "A", "60", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["orientable"] == {"top_cell": True, "criterion": True, "agree": True}
+    code, out = run_cli(capsys, "sweep", "E", "8", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["sweep"]
+    system = root_system("E", 8)
+    assert len(rows) == 256 and sum(row["orientable"] for row in rows) == 36
+    for row in rows:
+        theta = frozenset(i - 1 for i in row["theta"])
+        assert row["orientable"] == orientable_by_root_sum(system, theta)
+        assert row["mod2_betti"] == poincare_mod2(system, theta)
 
 
 def test_homology_e6_and_orientability_e8(capsys):

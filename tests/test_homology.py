@@ -18,11 +18,13 @@ from flaghom.homology import SignIndeterminateError, _assert_d_squared_zero
 from flaghom.rootsys import root_system
 
 from conftest import (
+    ORACLE_GROUPS,
     WEYL_GROUP_ORDERS,
     cached_group,
     descent_chain,
     orientable_by_root_sum,
     poincare_by_scan,
+    top_cell,
 )
 
 
@@ -296,7 +298,7 @@ def test_orientability_example_n5():
 def test_orientability_criteria_agree(n):
     g = cached_group("A", n - 1)
     for theta in subsets(n - 1):
-        assert orientable_typeA(n, theta) == orientable_via_topcell(g, theta)
+        assert orientable_typeA(n, theta) == orientable_via_topcell(g.system, theta)
 
 
 def test_topcell_orientability_b2():
@@ -305,7 +307,7 @@ def test_topcell_orientability_b2():
 
     top = max(g.elements, key=lambda w: w.length)
     kappas = [kappa_via_height(g, p) for p in g.bruhat_covers(top, frozenset())]
-    assert orientable_via_topcell(g, frozenset()) == all(k % 2 for k in kappas)
+    assert orientable_via_topcell(g.system, frozenset()) == all(k % 2 for k in kappas)
 
 
 ROOT_SUM = [("A", n) for n in range(1, 8)] + [("B", n) for n in (2, 3, 4, 5)] + [
@@ -315,17 +317,47 @@ ROOT_SUM = [("A", n) for n in range(1, 8)] + [("B", n) for n in (2, 3, 4, 5)] + 
 
 @pytest.mark.parametrize("family,rank", ROOT_SUM)
 def test_root_sum_orientability_matches_top_cell(family, rank):
-    g = cached_group(family, rank, 0)
+    """The sums agree by the identity that `test_top_cell_gammas_in_closed_form`
+    checks, so they restate the top-cell route rather than give a second one."""
+    system = root_system(family, rank)
     for theta in subsets(rank):
-        by_root_sum = orientable_by_root_sum(g.system, theta)
-        assert by_root_sum == orientable_via_topcell(g, theta)
+        by_root_sum = orientable_by_root_sum(system, theta)
+        assert by_root_sum == orientable_via_topcell(system, theta)
         if family == "A":
             assert by_root_sum == orientable_typeA(rank + 1, theta)
 
 
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS + [("E", 6)])
+def test_top_cell_gammas_in_closed_form(family, rank):
+    """The covers of the top cell in W^Theta, walked to by the oracle and
+    tested for reducedness, have gammas w_{0,Theta}(a_i), i outside Theta:
+    each the unique highest root with coefficient 1 at a_i and 0 at the other
+    simple roots outside Theta.  Its coroot height is
+    <rho, w_{0,Theta}(a_i^v)> = 1 - sum over b in Phi_Theta^+ of <b, a_i^v>,
+    and sum over all of Phi^+ is 2, so the root-sum rule has the same parity."""
+    system = root_system(family, rank)
+    for theta in subsets(rank):
+        bare = WeylGroup(system)
+        top = top_cell(bare, theta)
+        route = [p.gamma for p in bare.bruhat_covers(top, theta)]
+        inside = [b for b in system.positive_roots if all(i in theta for i, c in enumerate(b) if c)]
+        closed = []
+        for i in sorted(set(range(rank)) - theta):
+            candidates = [b for b in system.positive_roots if b[i] == 1 and not any(
+                c for j, c in enumerate(b) if c and j != i and j not in theta)]
+            top_height = max(map(sum, candidates))
+            (gamma,) = [b for b in candidates if sum(b) == top_height]
+            assert system.coroot_height(gamma) == 1 - sum(
+                system.killing_number(i, b) for b in inside)
+            closed.append(gamma)
+        assert sorted(route) == sorted(closed)
+        assert orientable_via_topcell(system, theta) == all(
+            system.coroot_height(gamma) % 2 for gamma in route)
+
+
 def test_point_is_orientable():
     g = cached_group("A", 2)
-    assert orientable_via_topcell(g, frozenset({0, 1}))
+    assert orientable_via_topcell(g.system, frozenset({0, 1}))
     assert orientable_typeA(3, frozenset({0, 1}))
 
 
@@ -358,7 +390,7 @@ def test_poincare_e_family_without_scan(rank):
     for theta in subsets(rank):
         betti = poincare_mod2(system, theta)
         assert betti == betti[::-1]
-        top = bare.top_cell(theta)
+        top = top_cell(bare, theta)
         assert len(betti) - 1 == top.length
         assert betti[1:2] == ([rank - len(theta)] if len(theta) < rank else [])
         chains |= descent_chain(bare, top)

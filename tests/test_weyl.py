@@ -27,6 +27,7 @@ from conftest import (
     phi_by_word,
     reflect,
     scan_representatives,
+    top_cell,
 )
 
 
@@ -120,8 +121,8 @@ def test_top_cell_is_longest_representative(family, rank):
     chains = set()
     for theta in _subsets(rank):
         longest = max(full.minimal_representatives(theta), key=lambda w: w.length)
-        assert full.top_cell(theta).word == longest.word
-        top = bare.top_cell(theta)
+        assert top_cell(full, theta).word == longest.word
+        top = top_cell(bare, theta)
         assert (top.word, top.matrix, top.inverse_matrix) == (
             longest.word, longest.matrix, longest.inverse_matrix
         )
@@ -169,6 +170,16 @@ def test_cover_outside_w_names_w_and_i():
     assert str(exc.value) == "w' is not in W on w=[2, 1] I=1"
 
 
+def test_pair_names_a_w_prime_not_stored_as_unknown():
+    """A cover outside W^Theta of a walked cell was never built: the pair
+    names it w'=?, as text output renders None."""
+    g = WeylGroup(root_system("A", 2))
+    w = g.minimal_representatives({0})[-1]
+    pairs = g.bruhat_covers(w, frozenset())
+    assert pairs[1].w_prime is None
+    assert [str(p) for p in pairs] == ["w=[1, 2] w'=[2] I=1", "w=[1, 2] w'=? I=2"]
+
+
 def _assert_own_root_tuples(g, pairs):
     """Every stored column, beta and gamma is the root system's own tuple."""
     roots = g.system.roots
@@ -191,7 +202,7 @@ def test_full_flag_shares_the_root_tuples(family, rank):
 
 def test_top_cells_share_the_root_tuples():
     g = WeylGroup(root_system("A", 4))
-    pairs = [p for theta in _subsets(4) for p in g.bruhat_covers(g.top_cell(theta), theta)]
+    pairs = [p for theta in _subsets(4) for p in g.bruhat_covers(top_cell(g, theta), theta)]
     assert pairs
     _assert_own_root_tuples(g, pairs)
 
@@ -414,7 +425,7 @@ def test_top_cell_covers_match_subword_oracle(family, rank):
     stored_count = missing_count = 0
     for theta in _subsets(rank):
         bare = WeylGroup(full.system)
-        top = bare.top_cell(theta)
+        top = top_cell(bare, theta)
         memo = dict(bare.by_matrix)
         pairs = bare.bruhat_covers(top, frozenset())
         oracle = _covers_by_subwords(full, top)
@@ -447,17 +458,26 @@ def test_theta_covers_are_filtered_covers(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
-def test_top_cell_memo_stays_in_quotient(family, rank):
-    """Orientability by the top cell builds the top cell alone, with its
-    descent chain, and no cover: the memo is exactly that chain, which lies
-    in W^Theta."""
+def test_top_cell_memo_stays_in_quotient(family, rank, monkeypatch):
+    """The oracle's walk to the top cell stores exactly its descent chain,
+    which lies in W^Theta, and the parity of kappa on that cell's covers is
+    the orientability that `orientable_via_topcell` reads off the root system
+    while no `WeylGroup` can be built at all."""
     system = root_system(family, rank)
+    verdicts = {}
     for theta in _subsets(rank):
         bare = WeylGroup(system)
-        orientable_via_topcell(bare, theta)
-        top = bare.top_cell(theta)
+        top = top_cell(bare, theta)
         assert set(bare.by_matrix) == descent_chain(bare, top)
         assert all(in_quotient(m, theta) for m in bare.by_matrix)
+        verdicts[theta] = all(system.coroot_height(p.gamma) % 2
+                              for p in bare.bruhat_covers(top, theta))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Weyl group was built")
+
+    monkeypatch.setattr(WeylGroup, "__init__", refuse)
+    assert {theta: orientable_via_topcell(system, theta) for theta in verdicts} == verdicts
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
