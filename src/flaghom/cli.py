@@ -195,8 +195,8 @@ def report_coeffs(job: JobSpec) -> dict:
     group = WeylGroup(root_system(job.family, job.rank))
     reports = [
         kappa_report(group, pair)
-        for w in group.minimal_representatives(job.theta, job.max_degree)
-        for pair in group.bruhat_covers(w, job.theta)
+        for _, pairs in group.cells_with_covers(job.theta, job.max_degree)
+        for pair in pairs
     ]
     reports.reverse()
     return {"covering_pairs": map(_pair_out, (reports.pop() for _ in range(len(reports))))}

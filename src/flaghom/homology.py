@@ -39,7 +39,8 @@ class ChainComplex(Record):
 def build_complex(
     group: WeylGroup, theta: frozenset[int] | set[int], max_degree: int
 ) -> ChainComplex:
-    """Assemble integral boundary matrices on W^Theta through the given degree.
+    """Assemble integral boundary matrices on W^Theta through the given degree
+    in one pass over `WeylGroup.cells_with_covers`, each row as its cell arrives.
 
     Verifies d o d = 0 on construction wherever it is determined.  A row
     with a magnitude-2 entry whose sign is undetermined is zeroed whole and
@@ -49,31 +50,25 @@ def build_complex(
     on such a matrix.
     """
     cells: dict[int, list[WeylElement]] = {k: [] for k in range(max_degree + 1)}
-    for w in group.minimal_representatives(theta, max_degree):
-        cells[w.length].append(w)
-
-    index: dict[int, dict] = {
-        k: {w.matrix: i for i, w in enumerate(cells[k])} for k in cells
-    }
-    boundaries: dict[int, list[list[int]]] = {}
+    boundaries: dict[int, list[list[int]]] = {k: [] for k in range(1, max_degree + 1)}
     indeterminate: dict[int, list[int]] = {}
-    for k in range(1, max_degree + 1):
-        rows = []
-        zeroed: list[int] = []
-        for row_i, w in enumerate(cells[k]):
-            row = [0] * len(cells[k - 1])
-            for pair in group.bruhat_covers(w, theta):
-                magnitude, sign = coefficient(group, pair)
-                if magnitude and sign is None:
-                    row = [0] * len(cells[k - 1])
-                    zeroed.append(row_i)
-                    break
-                if magnitude:
-                    row[index[k - 1][pair.w_prime.matrix]] = sign * magnitude
-            rows.append(row)
-        boundaries[k] = rows
-        if zeroed:
-            indeterminate[k] = zeroed
+    index: dict[tuple, int] = {}  # a cell's matrix to its position within its degree
+    for w, pairs in group.cells_with_covers(theta, max_degree):
+        k = w.length
+        index[w.matrix] = len(cells[k])
+        cells[k].append(w)
+        if not k:
+            continue
+        row = [0] * len(cells[k - 1])
+        for pair in pairs:
+            magnitude, sign = coefficient(group, pair)
+            if magnitude and sign is None:
+                row = [0] * len(row)
+                indeterminate.setdefault(k, []).append(index[w.matrix])
+                break
+            if magnitude:
+                row[index[pair.w_prime.matrix]] = sign * magnitude
+        boundaries[k].append(row)
 
     complex_ = ChainComplex(cells, boundaries, max_degree, indeterminate)
     _assert_d_squared_zero(complex_)

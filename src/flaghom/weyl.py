@@ -21,13 +21,11 @@ by Deodhar's lemma.  Macdonald's count (`rootsys.poincare_mod2`) refuses a
 walk above ``DEFAULT_SIZE_CAP`` before it builds anything and must equal its
 level sizes after; `_build` checks the cap as it stores each element too.
 
-The Bruhat covers of w are read off its tail chain, not from multiplied-out
-words: deleting letter k = i of w's word gives w*s_gamma, gamma column i of
-the inverse matrix of ``tail`` taken k times, and w = s_beta*w' with
-beta = -w(gamma); root heights and the system's table of pairings with
-gamma's coroot tell whether the shorter word is reduced.  Covers are
-asked for per theta; a cover outside W^Theta is dropped, and every other w'
-is looked up in the memo, never built (None where nothing has stored it).
+The Bruhat covers of w = s_j*u, u its ``tail``, are lifted from u's: deleting
+letter 1 gives u, and letter I + 1 gives s_j*v for each cover v of u at letter
+I that a height read off the coroot pairings shows reduced.  `cells_with_covers`
+walks W^Theta once, lifting each cell's covers from the level below.  A cover
+outside W^Theta is dropped; every other w' is looked up in the memo, never built.
 
 Type A one-line forms name cells in the CLI's output and feed the one-line
 cover oracle `covers_oracle_typeA`, the fourth kappa route.
@@ -35,7 +33,10 @@ cover oracle `covers_oracle_typeA`, the fourth kappa route.
 
 from __future__ import annotations
 
-from .rootsys import (Coeffs, Record, RootSystem, is_positive, negate, nonzero_rows, poincare_mod2,
+from collections.abc import Iterator
+from itertools import groupby
+
+from .rootsys import (Coeffs, Record, RootSystem, is_positive, nonzero_rows, poincare_mod2,
                       simple_root)
 
 Matrix = tuple[Coeffs, ...]  # columns: images of the simple roots
@@ -67,11 +68,6 @@ class WeylElement(Record):
 
     def __hash__(self) -> int:
         return hash(self.matrix)
-
-
-def _apply(matrix: Matrix, root: Coeffs) -> Coeffs:
-    """Image of a root under the element with this matrix."""
-    return tuple(sum(x * col[i] for x, col in zip(root, matrix)) for i in range(len(root)))
 
 
 def _named(w: WeylElement | None) -> str:
@@ -167,53 +163,58 @@ class WeylGroup:
         return self.by_matrix[self._identity_matrix]
 
     def bruhat_covers(
-        self, w: WeylElement, theta: frozenset[int] | set[int]
+        self, w: WeylElement, theta: frozenset[int] | set[int], below: list[CoveringPair]
     ) -> list[CoveringPair]:
-        """The covering pairs under w whose w' lies in W^Theta, each with its
-        unique deleted position.
-
-        Deleting letter I = i of w's word gives w' = w*s_gamma, gamma = u^{-1}(a_i)
-        for u ``tail`` I times below w; the shorter word is reduced iff s_gamma
-        keeps every earlier gamma' positive, that is iff the root s_gamma(gamma')
-        has positive height ht gamma' - <gamma', gamma^v> ht gamma, and then
-        w = s_beta*w' with beta = -w(gamma).  A w' outside W^Theta is dropped;
-        the others are looked up in ``by_matrix``, never built (None if absent).
-        """
-        gammas, u = [], w
-        for i in w.word:
-            u = u.tail
-            gammas.append(u.inverse_matrix[i])
-        heights = [sum(gamma) for gamma in gammas]
-        roots = self.system.roots
+        """The covering pairs under w whose w' lies in W^Theta, with their unique
+        deleted positions I, lifted from ``below``, this method's pairs for
+        u = ``w.tail`` and theta ([] for e).  For w = s_j*u, I = 1 gives w' = u,
+        gamma = u^{-1}(a_j) and beta = a_j; a pair (u, v, I) of ``below`` gives
+        s_j*v at I + 1, reduced iff s_gamma'(gamma) > 0 for its gamma', i.e. iff
+        ht gamma > <gamma, gamma'^v> ht gamma', and then it keeps gamma' and has
+        beta = s_j(beta').  A w' in W^Theta has its v there too (Deodhar's
+        lemma); a w' outside is dropped, the others are looked up in
+        ``by_matrix``, never built (None if absent)."""
+        if w.tail is None:
+            return []
+        j, roots, pairings = w.word[0], self.system.roots, self.system.coroot_pairings
+        gamma_1 = w.tail.inverse_matrix[j]
+        candidates = [(1, self._identity_matrix[j], gamma_1)]
+        for p in below:
+            if sum(gamma_1) > sum(x * c for x, c in zip(gamma_1, pairings[p.gamma])) * sum(p.gamma):
+                b = p.beta  # s_j(b) moves entry j by b's pairing with a_j's coroot
+                b_j = b[j] - sum(c * b[i] for i, c in self._moved[j])
+                candidates.append((p.deleted_index + 1, b[:j] + (b_j,) + b[j + 1 :], p.gamma))
         seen: set[Matrix] = set()
         found: list[CoveringPair] = []
-        for idx, (gamma, h) in enumerate(zip(gammas, heights)):
-            pairing = self.system.coroot_pairings[gamma]  # <a_j, gamma^v>
-            if not all(
-                heights[k] > h * sum(p * x for p, x in zip(pairing, gammas[k]))
-                for k in range(idx)
-            ):
-                continue
+        for index, beta, gamma in candidates:
             try:  # a vector that is not a root: s_gamma does not act as a reflection
-                beta = roots[negate(_apply(w.matrix, gamma))]
+                beta = roots[beta]
                 if not is_positive(beta):
                     raise AssertionError(f"beta of a reduced deletion is not positive "
-                                         f"on w={_named(w)} I={idx + 1}")
-                # w'(a_j) = w(a_j - <a_j, gamma^v> gamma) = w(a_j) + <a_j, gamma^v> beta
-                matrix = tuple(
-                    roots[tuple(a + p * b for a, b in zip(col, beta))] if p else col
-                    for col, p in zip(w.matrix, pairing)
-                )
+                                         f"on w={_named(w)} I={index}")
+                # w'(a_k) = w(a_k - <a_k, gamma^v> gamma) = w(a_k) + <a_k, gamma^v> beta
+                matrix = tuple(roots[tuple(a + c * b for a, b in zip(col, beta))] if c else col
+                               for col, c in zip(w.matrix, pairings[gamma]))
                 if matrix in seen:
                     raise AssertionError(f"deleted position is not unique "
-                                         f"on w={_named(w)} I={idx + 1}")
+                                         f"on w={_named(w)} I={index}")
                 seen.add(matrix)
                 if not in_quotient(matrix, theta):
                     continue
             except KeyError:
-                raise AssertionError(f"w' is not in W on w={_named(w)} I={idx + 1}") from None
-            found.append(CoveringPair(w, self.by_matrix.get(matrix), idx + 1, beta, gamma))
+                raise AssertionError(f"w' is not in W on w={_named(w)} I={index}") from None
+            found.append(CoveringPair(w, self.by_matrix.get(matrix), index, beta, gamma))
         return found
+
+    def cells_with_covers(
+        self, theta: frozenset[int] | set[int], max_length: int | None
+    ) -> Iterator[tuple[WeylElement, list[CoveringPair]]]:
+        """Each cell of W^Theta up to max_length (all when None) in (length, word)
+        order, with its `bruhat_covers` lifted from the level below, the one kept."""
+        reps, below = self.minimal_representatives(theta, max_length), {}
+        for _, level in groupby(reps, lambda w: w.length):
+            below = {w: self.bruhat_covers(w, theta, below.get(w.tail, [])) for w in level}
+            yield from below.items()
 
     def minimal_representatives(
         self, theta: frozenset[int] | set[int], max_length: int | None = None
@@ -226,6 +227,8 @@ class WeylGroup:
         equal the size of every level the walk finds.
         """
         theta = self._checked_theta(theta)
+        if max_length is not None and max_length < 0:
+            raise ValueError("max_length must be >= 0")
         counts = poincare_mod2(self.system, theta)[: None if max_length is None else max_length + 1]
         _check_size(sum(counts))
         levels = [[self.identity]]

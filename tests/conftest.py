@@ -6,8 +6,8 @@ from math import factorial, gcd, lcm
 from pathlib import Path
 
 from flaghom import WeylGroup, root_system
-from flaghom.rootsys import is_positive
-from flaghom.weyl import in_quotient
+from flaghom.rootsys import is_positive, negate
+from flaghom.weyl import CoveringPair, _named, in_quotient
 
 #: oracle data: the order of the Weyl group per family, as a function of the rank
 WEYL_GROUP_ORDERS = {
@@ -94,6 +94,66 @@ def element_from_word(group, word):
         # w*s_i, and its inverse s_i*w^{-1}
         matrix, inverse = group._right_mult(matrix, i), group._left_mult(i, inverse)
     return group._build(matrix, inverse)
+
+
+def direct_covers(group, w, theta):
+    """Oracle: the covering pairs under w whose w' lies in W^Theta, each with its
+    unique deleted position, read off w alone.
+
+    Deleting letter I = i of w's word gives w' = w*s_gamma, gamma = u^{-1}(a_i)
+    for u ``tail`` I times below w; the shorter word is reduced iff s_gamma
+    keeps every earlier gamma' positive, that is iff the root s_gamma(gamma')
+    has positive height ht gamma' - <gamma', gamma^v> ht gamma, and then
+    w = s_beta*w' with beta = -w(gamma).  A w' outside W^Theta is dropped;
+    the others are looked up in ``by_matrix``, never built (None if absent).
+    """
+    gammas, u = [], w
+    for i in w.word:
+        u = u.tail
+        gammas.append(u.inverse_matrix[i])
+    heights = [sum(gamma) for gamma in gammas]
+    roots = group.system.roots
+    seen = set()
+    found = []
+    for idx, (gamma, h) in enumerate(zip(gammas, heights)):
+        pairing = group.system.coroot_pairings[gamma]  # <a_j, gamma^v>
+        if not all(
+            heights[k] > h * sum(p * x for p, x in zip(pairing, gammas[k]))
+            for k in range(idx)
+        ):
+            continue
+        try:  # a vector that is not a root: s_gamma does not act as a reflection
+            beta = roots[negate(apply(w.matrix, gamma))]
+            if not is_positive(beta):
+                raise AssertionError(f"beta of a reduced deletion is not positive "
+                                     f"on w={_named(w)} I={idx + 1}")
+            # w'(a_j) = w(a_j - <a_j, gamma^v> gamma) = w(a_j) + <a_j, gamma^v> beta
+            matrix = tuple(
+                roots[tuple(a + p * b for a, b in zip(col, beta))] if p else col
+                for col, p in zip(w.matrix, pairing)
+            )
+            if matrix in seen:
+                raise AssertionError(f"deleted position is not unique "
+                                     f"on w={_named(w)} I={idx + 1}")
+            seen.add(matrix)
+            if not in_quotient(matrix, theta):
+                continue
+        except KeyError:
+            raise AssertionError(f"w' is not in W on w={_named(w)} I={idx + 1}") from None
+        found.append(CoveringPair(w, group.by_matrix.get(matrix), idx + 1, beta, gamma))
+    return found
+
+
+def lifted_covers(group, w, theta):
+    """w's covers in W^Theta by `WeylGroup.bruhat_covers`, lifted along w's tail
+    chain from e, whose covers are []."""
+    chain = [w]
+    while chain[-1].tail is not None:
+        chain.append(chain[-1].tail)
+    pairs = []
+    for u in reversed(chain):
+        pairs = group.bruhat_covers(u, theta, pairs)
+    return pairs
 
 
 def inversion_set_of_word(group, word):

@@ -25,7 +25,7 @@ from flaghom import (
     root_system,
 )
 
-from conftest import cached_group, code_spectrum, from_code_spectrum, from_one_line
+from conftest import cached_group, code_spectrum, from_code_spectrum, from_one_line, lifted_covers
 
 
 def _verdict(number, name, body):
@@ -41,7 +41,7 @@ def _all_pairs(group, max_length=None):
     for w in group.elements:
         if w.length == 0 or (max_length is not None and w.length > max_length):
             continue
-        yield from group.bruhat_covers(w, frozenset())
+        yield from lifted_covers(group, w, frozenset())
 
 
 def _subsets(rank):
@@ -97,7 +97,7 @@ def test_criterion_3_low_degree_boundary_table():
     def signed_boundary(group, n, spectrum):
         w = from_one_line(group, from_code_spectrum(spectrum, n))
         out = {}
-        for pair in group.bruhat_covers(w, frozenset()):
+        for pair in lifted_covers(group, w, frozenset()):
             magnitude, sign = coefficient(group, pair)
             if magnitude:
                 assert sign is not None

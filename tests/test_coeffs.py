@@ -26,6 +26,7 @@ from conftest import (
     from_one_line,
     kappa_phi_by_word,
     kappa_sigma_by_word,
+    lifted_covers,
 )
 
 
@@ -33,7 +34,7 @@ def all_pairs(group, max_length=None):
     for w in group.elements:
         if w.length == 0 or (max_length is not None and w.length > max_length):
             continue
-        yield from group.bruhat_covers(w, frozenset())
+        yield from lifted_covers(group, w, frozenset())
 
 
 def test_kappa_one_when_last_letter_deleted():
@@ -48,7 +49,7 @@ def test_kappa_one_when_last_letter_deleted():
 def test_kappa_sigma_worked_example():
     g = cached_group("A", 2)
     w = element_from_word(g, (0, 1))
-    pair = next(p for p in g.bruhat_covers(w, frozenset()) if p.w_prime.word == (1,))
+    pair = next(p for p in lifted_covers(g, w, frozenset()) if p.w_prime.word == (1,))
     assert pair.deleted_index == 1
     assert kappa_via_sigma(g, pair) == 2
     # equals the height of (s2 a1)^v = ht(a1 + a2) = 2
@@ -58,12 +59,12 @@ def test_kappa_sigma_worked_example():
 def test_kappa_phi_worked_examples():
     g = cached_group("A", 2)
     w = element_from_word(g, (0, 1))
-    pair = next(p for p in g.bruhat_covers(w, frozenset()) if p.w_prime.word == (1,))
+    pair = next(p for p in lifted_covers(g, w, frozenset()) if p.w_prime.word == (1,))
     assert pair.beta == (1, 0)
     assert kappa_via_phi(g, pair) == 2
     for i in range(2):
         s = element_from_word(g, (i,))
-        (p,) = g.bruhat_covers(s, frozenset())
+        (p,) = lifted_covers(g, s, frozenset())
         assert p.w_prime == g.identity
         assert kappa_via_phi(g, p) == 1
 
@@ -91,7 +92,7 @@ def _pair(family, rank, word, w_prime_word):
     """The covering pair of the cached group from word down to w_prime_word, 0-based."""
     g = cached_group(family, rank)
     w = element_from_word(g, word)
-    pair = next(p for p in g.bruhat_covers(w, frozenset()) if p.w_prime.word == w_prime_word)
+    pair = next(p for p in lifted_covers(g, w, frozenset()) if p.w_prime.word == w_prime_word)
     return g, pair
 
 
@@ -212,7 +213,7 @@ def boundary_of(group, n, spectrum):
     from cover spectra to coefficients (zeros dropped)."""
     w = from_one_line(group, from_code_spectrum(spectrum, n))
     out = {}
-    for pair in group.bruhat_covers(w, frozenset()):
+    for pair in lifted_covers(group, w, frozenset()):
         c = _signed(group, pair)
         if c:
             out[code_spectrum(one_line(pair.w_prime.word, n))] = c
@@ -282,8 +283,8 @@ def test_sigma_and_phi_routes_match_word_oracles(family, rank):
     full = cached_group(family, rank)
     for theta in [frozenset()] + [frozenset(range(rank)) - {i} for i in range(rank)]:
         g = WeylGroup(full.system) if theta else full
-        for w in g.minimal_representatives(theta):
-            for pair in g.bruhat_covers(w, theta):
+        for _, pairs in g.cells_with_covers(theta, None):
+            for pair in pairs:
                 assert kappa_via_sigma(g, pair) == kappa_sigma_by_word(g, pair)
                 assert kappa_via_phi(g, pair) == kappa_phi_by_word(g, pair)
 

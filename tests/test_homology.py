@@ -22,6 +22,8 @@ from conftest import (
     WEYL_GROUP_ORDERS,
     cached_group,
     descent_chain,
+    direct_covers,
+    lifted_covers,
     orientable_by_root_sum,
     poincare_by_scan,
     top_cell,
@@ -191,6 +193,12 @@ def test_homology_requires_depth():
         homology_groups(c, 2)
 
 
+def test_negative_degree_is_a_value_error():
+    g = WeylGroup(root_system("A", 2))
+    with pytest.raises(ValueError, match="max_length must be >= 0"):
+        build_complex(g, frozenset(), -1)
+
+
 def _complex_and_homology(group, theta):
     c = build_complex(group, theta, 3)
     try:
@@ -306,7 +314,7 @@ def test_topcell_orientability_b2():
     from flaghom import kappa_via_height
 
     top = max(g.elements, key=lambda w: w.length)
-    kappas = [kappa_via_height(g, p) for p in g.bruhat_covers(top, frozenset())]
+    kappas = [kappa_via_height(g, p) for p in lifted_covers(g, top, frozenset())]
     assert orientable_via_topcell(g.system, frozenset()) == all(k % 2 for k in kappas)
 
 
@@ -339,7 +347,7 @@ def test_top_cell_gammas_in_closed_form(family, rank):
     for theta in subsets(rank):
         bare = WeylGroup(system)
         top = top_cell(bare, theta)
-        route = [p.gamma for p in bare.bruhat_covers(top, theta)]
+        route = [p.gamma for p in direct_covers(bare, top, theta)]
         inside = [b for b in system.positive_roots if all(i in theta for i, c in enumerate(b) if c)]
         closed = []
         for i in sorted(set(range(rank)) - theta):

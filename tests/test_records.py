@@ -25,14 +25,14 @@ from flaghom.cli import JobSpec
 from flaghom.rootsys import Record
 from flaghom.weyl import WeylElement
 
-from conftest import CHILD_ENV, element_from_word
+from conftest import CHILD_ENV, element_from_word, lifted_covers
 
 
 def _pair():
     """A covering pair of A2 and its group: w = s_2 s_1 over w' = s_1."""
     g = WeylGroup(root_system("A", 2))
     w = element_from_word(g, (1, 0))
-    return g, next(p for p in g.bruhat_covers(w, frozenset()) if p.w_prime.word == (0,))
+    return g, next(p for p in lifted_covers(g, w, frozenset()) if p.w_prime.word == (0,))
 
 
 def _records():

@@ -5,7 +5,7 @@ import pytest
 
 from flaghom import WeylGroup, covers_oracle_typeA, one_line, orientable_via_topcell, root_system
 from flaghom.rootsys import RootSystem, is_positive, simple_root
-from flaghom.weyl import GroupTooLargeError, in_quotient
+from flaghom.weyl import CoveringPair, GroupTooLargeError, in_quotient
 
 from conftest import (
     ORACLE_GROUPS,
@@ -16,6 +16,7 @@ from conftest import (
     code_spectrum,
     conjugated_root,
     descent_chain,
+    direct_covers,
     element_from_word,
     enumerated,
     from_code_spectrum,
@@ -24,6 +25,7 @@ from conftest import (
     inversion_set_of_word,
     is_reduced,
     lehmer_code,
+    lifted_covers,
     phi_by_word,
     reflect,
     scan_representatives,
@@ -159,14 +161,16 @@ def _with_pairings(system, pairings):
 
 def test_cover_outside_w_names_w_and_i():
     """Doubled pairings make s_gamma no reflection, so the first deletion
-    gives a w' column that is not a root."""
+    gives a w' column that is not a root.  The covers of w's tail come from
+    the true system, on which they hold."""
     system = root_system("A", 2)
     doubled = {root: tuple(2 * p for p in pairing)
                for root, pairing in system.coroot_pairings.items()}
     g = WeylGroup(_with_pairings(system, doubled))
     w = element_from_word(g, (1, 0))
+    below = lifted_covers(cached_group("A", 2), w.tail, frozenset())
     with pytest.raises(AssertionError) as exc:
-        g.bruhat_covers(w, frozenset())
+        g.bruhat_covers(w, frozenset(), below)
     assert str(exc.value) == "w' is not in W on w=[2, 1] I=1"
 
 
@@ -175,7 +179,7 @@ def test_pair_names_a_w_prime_not_stored_as_unknown():
     names it w'=?, as text output renders None."""
     g = WeylGroup(root_system("A", 2))
     w = g.minimal_representatives({0})[-1]
-    pairs = g.bruhat_covers(w, frozenset())
+    pairs = lifted_covers(g, w, frozenset())
     assert pairs[1].w_prime is None
     assert [str(p) for p in pairs] == ["w=[1, 2] w'=[2] I=1", "w=[1, 2] w'=? I=2"]
 
@@ -194,7 +198,7 @@ def _assert_own_root_tuples(g, pairs):
 def test_full_flag_shares_the_root_tuples(family, rank):
     g = WeylGroup(root_system(family, rank))
     full = frozenset()
-    pairs = [p for w in g.minimal_representatives(full) for p in g.bruhat_covers(w, full)]
+    pairs = [p for _, cell_pairs in g.cells_with_covers(full, None) for p in cell_pairs]
     assert len(g.by_matrix) == WEYL_GROUP_ORDERS[family](rank)
     assert pairs
     _assert_own_root_tuples(g, pairs)
@@ -202,7 +206,7 @@ def test_full_flag_shares_the_root_tuples(family, rank):
 
 def test_top_cells_share_the_root_tuples():
     g = WeylGroup(root_system("A", 4))
-    pairs = [p for theta in _subsets(4) for p in g.bruhat_covers(top_cell(g, theta), theta)]
+    pairs = [p for theta in _subsets(4) for p in lifted_covers(g, top_cell(g, theta), theta)]
     assert pairs
     _assert_own_root_tuples(g, pairs)
 
@@ -291,10 +295,10 @@ def subword_le(g, small, big_word):
 def test_bruhat_covers_examples():
     g = cached_group("A", 2)
     w = element_from_word(g, (0, 1))
-    covered = {p.w_prime.word for p in g.bruhat_covers(w, frozenset())}
+    covered = {p.w_prime.word for p in lifted_covers(g, w, frozenset())}
     assert covered == {(0,), (1,)}
     w0 = max(g.elements, key=lambda w: w.length)
-    assert len(g.bruhat_covers(w0, frozenset())) == 2
+    assert len(lifted_covers(g, w0, frozenset())) == 2
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])
@@ -306,13 +310,13 @@ def test_bruhat_covers_against_subword_oracle(family, rank):
             for u in g.elements
             if u.length == w.length - 1 and subword_le(g, u, w.word)
         }
-        assert {p.w_prime.word for p in g.bruhat_covers(w, frozenset())} == expected
+        assert {p.w_prime.word for p in lifted_covers(g, w, frozenset())} == expected
 
 
 def test_covering_pair_roots():
     g = cached_group("B", 3)
     for w in g.elements:
-        for p in g.bruhat_covers(w, frozenset()):
+        for p in lifted_covers(g, w, frozenset()):
             # w = s_beta * w' and w = w' * s_gamma as actions on every root
             for r in g.system.positive_roots:
                 lhs = apply(p.w.matrix, r)
@@ -346,7 +350,7 @@ def test_covers_multiply_out_no_word(monkeypatch):
     """On a warm memo every w' is stored already, so covers read gamma off
     the tail chain and never multiply a matrix by a simple reflection."""
     g = cached_group("B", 3)
-    expected = {w: g.bruhat_covers(w, frozenset()) for w in list(g.elements)}
+    expected = {w: lifted_covers(g, w, frozenset()) for w in list(g.elements)}
 
     def refuse(*args):
         raise AssertionError("bruhat_covers multiplied out a word")
@@ -354,17 +358,20 @@ def test_covers_multiply_out_no_word(monkeypatch):
     monkeypatch.setattr(WeylGroup, "_right_mult", refuse)
     monkeypatch.setattr(WeylGroup, "_left_mult", refuse)
     for w, pairs in expected.items():
-        assert g.bruhat_covers(w, frozenset()) == pairs
+        assert lifted_covers(g, w, frozenset()) == pairs
 
 
-def test_cover_beta_not_positive_names_w_and_i(monkeypatch):
+def test_cover_beta_not_positive_names_w_and_i():
+    """The lifted beta of w = s_j*u is s_j of the beta of u's pair, so a pair
+    of u whose beta reads a_j lifts to beta = -a_j on the second deletion."""
     g = cached_group("A", 2)
     w = element_from_word(g, (1, 0))
-    # w(gamma) = gamma makes beta = -gamma negative on the first deletion
-    monkeypatch.setattr("flaghom.weyl._apply", lambda matrix, root: root)
+    (pair,) = lifted_covers(g, w.tail, frozenset())
+    a_j = g.identity.matrix[w.word[0]]
+    below = [CoveringPair(pair.w, pair.w_prime, pair.deleted_index, a_j, pair.gamma)]
     with pytest.raises(AssertionError) as exc:
-        g.bruhat_covers(w, frozenset())
-    assert str(exc.value) == "beta of a reduced deletion is not positive on w=[2, 1] I=1"
+        g.bruhat_covers(w, frozenset(), below)
+    assert str(exc.value) == "beta of a reduced deletion is not positive on w=[2, 1] I=2"
 
 
 def test_repeated_deleted_position_names_w_and_i():
@@ -375,7 +382,7 @@ def test_repeated_deleted_position_names_w_and_i():
     g = WeylGroup(_with_pairings(system, zero))
     w = element_from_word(g, (1, 0))
     with pytest.raises(AssertionError) as exc:
-        g.bruhat_covers(w, frozenset())
+        lifted_covers(g, w, frozenset())
     assert str(exc.value) == "deleted position is not unique on w=[2, 1] I=2"
 
 
@@ -386,7 +393,7 @@ def _cover_fields(w_prime, deleted_index, beta, gamma):
 
 
 def _assert_covers_match_oracle(g, w, oracle_group):
-    pairs = g.bruhat_covers(w, frozenset())
+    pairs = lifted_covers(g, w, frozenset())
     assert all(p.w is w for p in pairs)
     assert [_cover_fields(p.w_prime, p.deleted_index, p.beta, p.gamma) for p in pairs] == [
         _cover_fields(*pair) for pair in _covers_by_subwords(oracle_group, w)
@@ -427,7 +434,7 @@ def test_top_cell_covers_match_subword_oracle(family, rank):
         bare = WeylGroup(full.system)
         top = top_cell(bare, theta)
         memo = dict(bare.by_matrix)
-        pairs = bare.bruhat_covers(top, frozenset())
+        pairs = lifted_covers(bare, top, frozenset())
         oracle = _covers_by_subwords(full, top)
         assert [(p.w, p.deleted_index, p.beta, p.gamma) for p in pairs] == [
             (top, index, beta, gamma) for _, index, beta, gamma in oracle
@@ -445,16 +452,49 @@ def test_theta_covers_are_filtered_covers(family, rank):
     """Asking for theta's covers keeps exactly the unfiltered covers whose w'
     lies in W^Theta, in the same order and with the same fields."""
     g = cached_group(family, rank)
-    unfiltered = {w: g.bruhat_covers(w, frozenset()) for w in g.elements}
+    unfiltered = {w: lifted_covers(g, w, frozenset()) for w in g.elements}
 
     def fields(p):
         return (p.w,) + _cover_fields(p.w_prime, p.deleted_index, p.beta, p.gamma)
 
     for theta in _subsets(rank):
         for w in g.minimal_representatives(theta):
-            assert [fields(p) for p in g.bruhat_covers(w, theta)] == [
+            assert [fields(p) for p in lifted_covers(g, w, theta)] == [
                 fields(p) for p in unfiltered[w] if in_quotient(p.w_prime.matrix, theta)
             ]
+
+
+@pytest.mark.parametrize("family,rank,theta,max_length", [
+    *[(family, rank, None, None) for family, rank in ORACLE_GROUPS],  # None: every theta
+    ("A", 5, (), None),
+    ("B", 4, (), None),
+    ("D", 5, (), None),
+    ("E", 6, (1,), 8),
+    ("E", 8, tuple(range(1, 8)), 24),
+])
+def test_walk_covers_match_direct_covers(family, rank, theta, max_length):
+    """Each cell's covers, lifted from its tail's as the one walk of W^Theta
+    reaches it, equal the direct oracle's pair for pair: w, I, beta, gamma
+    and the very w' element that the memo stores."""
+    g = WeylGroup(root_system(family, rank))
+    for th in _subsets(rank) if theta is None else [frozenset(theta)]:
+        walk = list(g.cells_with_covers(th, max_length))
+        assert [w for w, _ in walk] == g.minimal_representatives(th, max_length)
+        for w, pairs in walk:
+            expected = direct_covers(g, w, th)
+            assert pairs == expected
+            assert all(p.w_prime is q.w_prime for p, q in zip(pairs, expected))
+
+
+def test_negative_max_length_is_a_value_error():
+    """A negative length is a bad argument, not a walk that disagrees with
+    Macdonald's count; nothing is built."""
+    g = WeylGroup(root_system("A", 2))
+    with pytest.raises(ValueError, match="max_length must be >= 0"):
+        g.minimal_representatives(frozenset(), -1)
+    with pytest.raises(ValueError, match="max_length must be >= 0"):
+        next(g.cells_with_covers(frozenset(), -1))
+    assert list(g.by_matrix) == [g.identity.matrix]
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
@@ -471,7 +511,7 @@ def test_top_cell_memo_stays_in_quotient(family, rank, monkeypatch):
         assert set(bare.by_matrix) == descent_chain(bare, top)
         assert all(in_quotient(m, theta) for m in bare.by_matrix)
         verdicts[theta] = all(system.coroot_height(p.gamma) % 2
-                              for p in bare.bruhat_covers(top, theta))
+                              for p in lifted_covers(bare, top, theta))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Weyl group was built")
@@ -548,7 +588,7 @@ def test_covers_oracle_matches_word_covers(n):
     word_covers = {
         (line[p.w], line[p.w_prime])
         for w in g.elements
-        for p in g.bruhat_covers(w, frozenset())
+        for p in lifted_covers(g, w, frozenset())
     }
     oracle_covers = set()
     for w in g.elements:
