@@ -8,13 +8,14 @@ failure, 2 usage error or a job outside the computable range, 141 (128 +
 SIGPIPE, as a shell reports for coreutils) without a message when the reader
 closes stdout before the report is written.
 
-Every report is checked whole before it is rendered, so a cross-check
+Every report is checked before anything is written, so a cross-check
 failure prints nothing to stdout.  Rendering reads a top-level table one
 row at a time, and JSON is encoded one top-level value, and one such row, at
 a time into the same bytes as ``json.dumps(report, sort_keys=True)``.
-`report_coeffs` keeps only its checked kappa reports and hands `render` a
-lazy ``map`` that builds each row's dict, dropping that pair's report, as the
-row is encoded; `main` writes the report to stdout in fixed slices.
+`report_coeffs` hands `render` a lazy ``map`` over the walk of W^Theta, which
+builds, and so checks, each pair's kappa report and then its row's dict as
+the row is encoded; `render` returns the whole text, and `main` writes it to
+stdout in fixed slices only then.
 """
 
 from __future__ import annotations
@@ -190,16 +191,13 @@ def _pair_out(rep: KappaReport) -> dict:
 
 
 def report_coeffs(job: JobSpec) -> dict:
-    """Every pair's kappa report is built, and so checked, here; its row dict
-    is built by `render` as the row is written, and the report dropped then."""
+    """Lazy rows: `render` walks W^Theta, and builds, and so checks, each
+    pair's kappa report, as it encodes that pair's row."""
     group = WeylGroup(root_system(job.family, job.rank))
-    reports = [
-        kappa_report(group, pair)
-        for _, pairs in group.cells_with_covers(job.theta, job.max_degree)
-        for pair in pairs
-    ]
-    reports.reverse()
-    return {"covering_pairs": map(_pair_out, (reports.pop() for _ in range(len(reports))))}
+    reports = (kappa_report(group, pair)
+               for _, pairs in group.cells_with_covers(job.theta, job.max_degree)
+               for pair in pairs)
+    return {"covering_pairs": map(_pair_out, reports)}
 
 
 def report_homology(job: JobSpec) -> dict:
@@ -368,15 +366,15 @@ def main(argv: list[str] | None = None) -> int:
         job = jobspec_from_args(args)
     except ValueError as exc:
         parser.exit(2, f"flaghom: error: {exc}\n")
-    try:
+    try:  # a lazy report is walked, and checked, as it is rendered
         body = REPORTERS[job.command](job)
+        report = {"schema_version": SCHEMA_VERSION, "job": job.as_dict(), **body}
+        text = render(report, job.output_format)
     except (SignIndeterminateError, GroupTooLargeError) as exc:
         parser.exit(2, f"flaghom: error: {exc}\n")
     except AssertionError as exc:
         print(f"flaghom: cross-check failure: {exc}", file=sys.stderr)
         return 1
-    report = {"schema_version": SCHEMA_VERSION, "job": job.as_dict(), **body}
-    text = render(report, job.output_format)
     try:
         sys.stdout.writelines(text[i : i + _SLICE] for i in range(0, len(text), _SLICE))
         print(flush=True)

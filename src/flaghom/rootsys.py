@@ -52,10 +52,6 @@ def height(root: Coeffs) -> int:
     return sum(root)
 
 
-def is_positive(root: Coeffs) -> bool:
-    return any(c > 0 for c in root) and all(c >= 0 for c in root)
-
-
 def negate(root: Coeffs) -> Coeffs:
     return tuple(-c for c in root)
 

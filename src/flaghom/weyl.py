@@ -17,9 +17,12 @@ hashes, by its matrix alone.
 A `WeylGroup` starts from e and builds the elements a query reads by this
 rule, memoised in one dict ``by_matrix``.  W^Theta up to a length, the cells
 of F_Theta, is one walk up the left weak order, whose steps stay in W^Theta
-by Deodhar's lemma.  Macdonald's count (`rootsys.poincare_mod2`) refuses a
-walk above ``DEFAULT_SIZE_CAP`` before it builds anything and must equal its
-level sizes after; `_build` checks the cap as it stores each element too.
+by Deodhar's lemma; it takes the step s_j*u only when j is the new element's
+smallest left descent, so it makes each element once, from its tail.
+Macdonald's count (`rootsys.poincare_mod2`) refuses a walk above
+``DEFAULT_SIZE_CAP`` before it builds anything and must equal its level
+sizes after; `_step` checks the cap as it stores each element too.  A root
+is positive iff the root system's table of positive roots holds it.
 
 The Bruhat covers of w = s_j*u, u its ``tail``, are lifted from u's: deleting
 letter 1 gives u, and letter I + 1 gives s_j*v for each cover v of u at letter
@@ -36,8 +39,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import groupby
 
-from .rootsys import (Coeffs, Record, RootSystem, is_positive, nonzero_rows, poincare_mod2,
-                      simple_root)
+from .rootsys import Coeffs, Record, RootSystem, nonzero_rows, poincare_mod2, simple_root
 
 Matrix = tuple[Coeffs, ...]  # columns: images of the simple roots
 
@@ -127,34 +129,19 @@ class WeylGroup:
             for col in matrix
         )
 
-    def _build(self, matrix: Matrix, inverse: Matrix) -> WeylElement:
-        """The element with this matrix, memoised first if ``by_matrix`` lacks it.
-
-        Its canonical word is its smallest left descent j followed by the
-        word of s_j*w, one length lower; a lower element that ``by_matrix``
-        lacks is built first by the same rule.
-        """
-        n = self.system.rank
-        chain: list[tuple[int, Matrix, Matrix]] = []
-        while (below := self.by_matrix.get(matrix)) is None:
-            # j is a left descent iff w^{-1}(a_j) < 0; an element of W reaches
-            # a stored one, at worst e, in at most l(w_0) steps
-            j = next((k for k in range(n) if not is_positive(inverse[k])), None)
-            chain.append((j, matrix, inverse))
-            if j is None or len(chain) > len(self.system.positive_roots):
-                raise AssertionError(f"matrix {chain[0][1]} is not an element of W")
-            try:  # a product with a column that is not a root
-                matrix, inverse = self._left_mult(j, matrix), self._right_mult(inverse, j)
-            except KeyError:
-                raise AssertionError(f"matrix {chain[0][1]} is not an element of W") from None
-        for j, matrix, inverse in reversed(chain):
-            phi = below.phi  # phi(w) = a_j + s_j(phi(s_j*w)) moves coordinate j only
-            phi_j = phi[j] + 1 - sum(c * phi[k] for k, c in self._moved[j])
-            below = WeylElement((j,) + below.word, matrix, inverse, below,
-                                phi[:j] + (phi_j,) + phi[j + 1 :])
-            self.by_matrix[matrix] = below
+    def _step(self, i: int, tail: WeylElement, inverse: Matrix) -> WeylElement:
+        """s_i*tail, memoised, for i its smallest left descent and ``inverse``
+        its inverse matrix: its canonical word is i followed by tail's, and
+        phi(s_i*tail) = a_i + s_i(phi(tail)) moves coordinate i only."""
+        matrix = self._left_mult(i, tail.matrix)
+        if (w := self.by_matrix.get(matrix)) is None:
+            phi = tail.phi
+            phi_i = phi[i] + 1 - sum(c * phi[k] for k, c in self._moved[i])
+            w = WeylElement((i,) + tail.word, matrix, inverse, tail,
+                            phi[:i] + (phi_i,) + phi[i + 1 :])
+            self.by_matrix[matrix] = w
             _check_size(len(self.by_matrix))
-        return below
+        return w
 
     # -- queries ----------------------------------------------------------
 
@@ -177,6 +164,7 @@ class WeylGroup:
         if w.tail is None:
             return []
         j, roots, pairings = w.word[0], self.system.roots, self.system.coroot_pairings
+        positive = self.system.coroot_coeffs
         gamma_1 = w.tail.inverse_matrix[j]
         candidates = [(1, self._identity_matrix[j], gamma_1)]
         for p in below:
@@ -189,7 +177,7 @@ class WeylGroup:
         for index, beta, gamma in candidates:
             try:  # a vector that is not a root: s_gamma does not act as a reflection
                 beta = roots[beta]
-                if not is_positive(beta):
+                if beta not in positive:
                     raise AssertionError(f"beta of a reduced deletion is not positive "
                                          f"on w={_named(w)} I={index}")
                 # w'(a_k) = w(a_k - <a_k, gamma^v> gamma) = w(a_k) + <a_k, gamma^v> beta
@@ -199,8 +187,8 @@ class WeylGroup:
                     raise AssertionError(f"deleted position is not unique "
                                          f"on w={_named(w)} I={index}")
                 seen.add(matrix)
-                if not in_quotient(matrix, theta):
-                    continue
+                if not all(matrix[k] in positive for k in theta):
+                    continue  # w' is in W^Theta iff it keeps Theta's simple roots positive
             except KeyError:
                 raise AssertionError(f"w' is not in W on w={_named(w)} I={index}") from None
             found.append(CoveringPair(w, self.by_matrix.get(matrix), index, beta, gamma))
@@ -222,28 +210,33 @@ class WeylGroup:
         """W^Theta up to max_length (all of it when None), in (length, word) order.
 
         W^Theta is an order ideal of the left weak order, walked up level by
-        level from e by the steps `_steps_up` allows.  Macdonald's count
-        refuses a walk above the size cap before anything is built, and must
-        equal the size of every level the walk finds.
+        level from e by the steps `_steps_up` allows.  A step s_i*v is taken
+        only when i is its smallest left descent, so v is its tail and each
+        element is made once, from its canonical tail; taking i in ascending
+        order and v in the previous level's order makes each level in word
+        order.  Macdonald's count refuses a walk above the size cap before
+        anything is built, and must equal the size of every level the walk finds.
         """
         theta = self._checked_theta(theta)
         if max_length is not None and max_length < 0:
             raise ValueError("max_length must be >= 0")
         counts = poincare_mod2(self.system, theta)[: None if max_length is None else max_length + 1]
         _check_size(sum(counts))
+        positive = self.system.coroot_coeffs
         levels = [[self.identity]]
         while max_length is None or len(levels) <= max_length:
-            up: dict[Matrix, WeylElement] = {}
-            for w in levels[-1]:
-                for i in range(self.system.rank):
-                    if self._steps_up(w.matrix, w.inverse_matrix, i, theta):
-                        matrix = self._left_mult(i, w.matrix)
-                        if matrix not in up:
-                            # the inverse of s_i*w is w^{-1}*s_i
-                            up[matrix] = self._build(matrix, self._right_mult(w.inverse_matrix, i))
-            if not up:
+            level = []
+            for i in range(self.system.rank):
+                for v in levels[-1]:
+                    if self._steps_up(v.matrix, v.inverse_matrix, i, theta):
+                        # the inverse of s_i*v is v^{-1}*s_i; column k is negative
+                        # iff k is a left descent of s_i*v, and i must be the smallest
+                        inverse = self._right_mult(v.inverse_matrix, i)
+                        if all(inverse[k] in positive for k in range(i)):
+                            level.append(self._step(i, v, inverse))
+            if not level:
                 break
-            levels.append(sorted(up.values(), key=lambda w: w.word))
+            levels.append(level)
         if (sizes := [len(level) for level in levels]) != counts:
             raise AssertionError(f"walk of W^Theta finds {sizes} elements by length, "
                                  f"Macdonald's count {counts}")
@@ -254,18 +247,13 @@ class WeylGroup:
         iff w^{-1}(a_i) > 0, and it then leaves W^Theta iff w sends some simple
         root of Theta to a_i (Deodhar's lemma)."""
         a_i = self._identity_matrix[i]
-        return is_positive(inverse[i]) and all(matrix[k] != a_i for k in theta)
+        return inverse[i] in self.system.coroot_coeffs and all(matrix[k] != a_i for k in theta)
 
     def _checked_theta(self, theta: frozenset[int] | set[int]) -> frozenset[int]:
         theta = frozenset(theta)
         if not theta <= set(range(self.system.rank)):
             raise ValueError("theta indices out of range")
         return theta
-
-
-def in_quotient(matrix: Matrix, theta: frozenset[int] | set[int]) -> bool:
-    """w is in W^Theta iff it sends every simple root of Theta to a positive root."""
-    return all(is_positive(matrix[k]) for k in theta)
 
 
 # -- type A one-line combinatorics ---------------------------------------

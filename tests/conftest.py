@@ -6,8 +6,8 @@ from math import factorial, gcd, lcm
 from pathlib import Path
 
 from flaghom import WeylGroup, root_system
-from flaghom.rootsys import is_positive, negate
-from flaghom.weyl import CoveringPair, _named, in_quotient
+from flaghom.rootsys import negate
+from flaghom.weyl import CoveringPair, _named
 
 #: oracle data: the order of the Weyl group per family, as a function of the rank
 WEYL_GROUP_ORDERS = {
@@ -30,6 +30,42 @@ CHILD_ENV["PYTHONPATH"] = os.pathsep.join(
 
 #: groups whose whole W the oracle tests walk
 ORACLE_GROUPS = [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
+
+
+def is_positive(vector):
+    """Whether an integer vector, a root or not, is nonzero and nonnegative."""
+    return any(c > 0 for c in vector) and all(c >= 0 for c in vector)
+
+
+def in_quotient(matrix, theta):
+    """w is in W^Theta iff it sends every simple root of Theta to a positive vector."""
+    return all(is_positive(matrix[k]) for k in theta)
+
+
+def build(group, matrix, inverse):
+    """Oracle: the element with this matrix, memoised first if ``by_matrix``
+    lacks it, found by a descent search rather than a walk.
+
+    Its canonical word is its smallest left descent j followed by the word
+    of s_j*w, one length lower; a lower element that ``by_matrix`` lacks is
+    built first by the same rule, through the group's own `_step`.
+    """
+    n = group.system.rank
+    chain = []
+    while (below := group.by_matrix.get(matrix)) is None:
+        # j is a left descent iff w^{-1}(a_j) < 0; an element of W reaches
+        # a stored one, at worst e, in at most l(w_0) steps
+        j = next((k for k in range(n) if not is_positive(inverse[k])), None)
+        chain.append((j, matrix, inverse))
+        if j is None or len(chain) > len(group.system.positive_roots):
+            raise AssertionError(f"matrix {chain[0][1]} is not an element of W")
+        try:  # a product with a column that is not a root
+            matrix, inverse = group._left_mult(j, matrix), group._right_mult(inverse, j)
+        except KeyError:
+            raise AssertionError(f"matrix {chain[0][1]} is not an element of W") from None
+    for j, matrix, inverse in reversed(chain):
+        below = group._step(j, below, inverse)
+    return below
 
 
 @lru_cache(maxsize=None)
@@ -55,7 +91,7 @@ def enumerated(family: str, rank: int, max_length: int | None = None):
                     m = group._right_mult(w.matrix, i)
                     if m not in group.by_matrix:
                         # the inverse of w*s_i is s_i*w^{-1}
-                        nxt.append(group._build(m, group._left_mult(i, w.inverse_matrix)))
+                        nxt.append(build(group, m, group._left_mult(i, w.inverse_matrix)))
         found += nxt
         level = nxt
     return tuple(sorted(found, key=lambda w: (w.length, w.word)))
@@ -83,7 +119,7 @@ def top_cell(group, theta):
             i = 0
         else:
             i += 1
-    return group._build(matrix, inverse)
+    return build(group, matrix, inverse)
 
 
 def element_from_word(group, word):
@@ -93,7 +129,7 @@ def element_from_word(group, word):
     for i in word:
         # w*s_i, and its inverse s_i*w^{-1}
         matrix, inverse = group._right_mult(matrix, i), group._left_mult(i, inverse)
-    return group._build(matrix, inverse)
+    return build(group, matrix, inverse)
 
 
 def direct_covers(group, w, theta):

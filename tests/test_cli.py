@@ -402,7 +402,8 @@ def test_e8_query_refused_before_building(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("an element was built")
 
-    monkeypatch.setattr(WeylGroup, "_build", refuse)
+    monkeypatch.setattr(WeylGroup, "_step", refuse)
+    monkeypatch.setattr(WeylGroup, "_left_mult", refuse)
     err = _one_line_error(capsys, ["coeffs", "E", "8", "--max-degree", "19"], 2)
     assert err == "flaghom: error: group too large: more than 1000000 elements\n"
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flaghom import CartanData, build_root_system, height, root_system
-from flaghom.rootsys import RANK_BOUNDS, NotFiniteTypeError, is_positive, negate, simple_root
+from flaghom.rootsys import RANK_BOUNDS, NotFiniteTypeError, negate, simple_root
 
-from conftest import bilinear, conjugated_root, coroot_by_form, p_sum, reflect, symmetrizer
+from conftest import (bilinear, conjugated_root, coroot_by_form, is_positive, p_sum, reflect,
+                      symmetrizer)
 
 
 def brute_force_positive_roots(system):

@@ -4,14 +4,15 @@ from functools import reduce
 import pytest
 
 from flaghom import WeylGroup, covers_oracle_typeA, one_line, orientable_via_topcell, root_system
-from flaghom.rootsys import RootSystem, is_positive, simple_root
-from flaghom.weyl import CoveringPair, GroupTooLargeError, in_quotient
+from flaghom.rootsys import RootSystem, simple_root
+from flaghom.weyl import CoveringPair, GroupTooLargeError
 
 from conftest import (
     ORACLE_GROUPS,
     WEYL_GROUP_ORDERS,
     apply,
     bilinear,
+    build,
     cached_group,
     code_spectrum,
     conjugated_root,
@@ -22,7 +23,9 @@ from conftest import (
     from_code_spectrum,
     from_lehmer_code,
     from_one_line,
+    in_quotient,
     inversion_set_of_word,
+    is_positive,
     is_reduced,
     lehmer_code,
     lifted_covers,
@@ -138,7 +141,7 @@ def test_build_refuses_a_matrix_outside_w():
     g = WeylGroup(root_system("A", 2))
     minus_one = tuple(tuple(-x for x in col) for col in g.identity.matrix)
     with pytest.raises(AssertionError, match="not an element of W"):
-        g._build(minus_one, minus_one)
+        build(g, minus_one, minus_one)
 
 
 def test_build_refuses_a_column_that_is_not_a_root():
@@ -150,7 +153,7 @@ def test_build_refuses_a_column_that_is_not_a_root():
     matrix = (tuple(2 * x for x in a1), a2)
     inverse = (tuple(-x for x in a1), a2)  # a left descent at 1
     with pytest.raises(AssertionError, match="not an element of W"):
-        g._build(matrix, inverse)
+        build(g, matrix, inverse)
 
 
 def _with_pairings(system, pairings):
@@ -534,6 +537,30 @@ def test_walk_matches_scan_of_w(family, rank, max_length):
         walked = WeylGroup(system).minimal_representatives(theta, max_length)
         scanned = scan_representatives(system, theta, max_length)
         assert [fields(w) for w in walked] == [fields(w) for w in scanned]
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+def test_walk_makes_each_element_once_from_its_tail(family, rank, monkeypatch):
+    """The walk multiplies each element of W^Theta out once: `_left_mult` runs
+    exactly as often as the memo gains an element, and each new element keeps
+    the stored tail it was made from, its word that tail's with one letter
+    in front."""
+    left_mult, calls = WeylGroup._left_mult, []
+
+    def counted(self, i, matrix):
+        calls.append(i)
+        return left_mult(self, i, matrix)
+
+    monkeypatch.setattr(WeylGroup, "_left_mult", counted)
+    system = root_system(family, rank)
+    for theta in _subsets(rank):
+        g = WeylGroup(system)
+        calls.clear()
+        reps = g.minimal_representatives(theta)
+        assert len(calls) == len(g.by_matrix) - 1 == len(reps) - 1
+        for w in reps[1:]:
+            assert g.by_matrix[w.tail.matrix] is w.tail
+            assert w.word == (w.word[0],) + w.tail.word
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
