@@ -10,12 +10,14 @@ closes stdout before the report is written.
 
 Every report is checked before anything is written, so a cross-check
 failure prints nothing to stdout.  Rendering reads a top-level table one
-row at a time, and JSON is encoded one top-level value, and one such row, at
-a time into the same bytes as ``json.dumps(report, sort_keys=True)``.
-`report_coeffs` hands `render` a lazy ``map`` over the walk of W^Theta, which
-builds, and so checks, each pair's kappa report and then its row's dict as
-the row is encoded; `render` returns the whole text, and `main` writes it to
-stdout in fixed slices only then.
+row at a time; JSON is encoded one top-level value, and one such row, at a
+time into the same bytes as ``json.dumps(report, sort_keys=True)``, and each
+batch of encoded rows is joined into one piece, so a large report is held as
+a few large pieces rather than a small string per row.  `report_coeffs`
+hands `render` a lazy ``map`` over the walk of W^Theta, which builds, and so
+checks, each pair's kappa report and then its row's dict as the row is
+encoded; `render` returns the whole text, and `main` writes it to stdout in
+fixed slices only then.
 """
 
 from __future__ import annotations
@@ -297,6 +299,9 @@ _TABLE = (list, map)
 
 _JSON = json.JSONEncoder(sort_keys=True)
 _SLICE = 1 << 16  # characters of a report written, and so encoded, at a time
+# rows of a table joined into one piece: a string per row costs an object
+# header each, while encoding a batch as one list makes a token per value
+_BATCH = 16
 
 
 def _fmt(value) -> str:
@@ -313,7 +318,8 @@ def _fmt(value) -> str:
 
 def _render_json(report: dict) -> str:
     """``json.dumps(report, sort_keys=True)``, encoded one top-level value,
-    and one row of a top-level table, at a time."""
+    and one row of a top-level table, at a time; each batch of up to
+    ``_BATCH`` encoded rows is joined into one piece at once."""
     pieces = ["{"]
     for key in sorted(report):
         if len(pieces) > 1:
@@ -324,10 +330,11 @@ def _render_json(report: dict) -> str:
             pieces.append(_JSON.encode(value))
             continue
         pieces.append("[")
-        for n, row in enumerate(value):
-            if n:
+        rows = iter(value)
+        while batch := ", ".join(map(_JSON.encode, itertools.islice(rows, _BATCH))):
+            if pieces[-1] != "[":
                 pieces.append(", ")
-            pieces.append(_JSON.encode(row))
+            pieces.append(batch)
         pieces.append("]")
     pieces.append("}")
     return "".join(pieces)

@@ -212,7 +212,9 @@ class WeylGroup:
         W^Theta is an order ideal of the left weak order, walked up level by
         level from e by the steps `_steps_up` allows.  A step s_i*v is taken
         only when i is its smallest left descent, so v is its tail and each
-        element is made once, from its canonical tail; taking i in ascending
+        element is made once, from its canonical tail.  The columns k < i of
+        v^{-1} that s_i keeps (C[i][k] = 0) refuse most other steps before the
+        product v^{-1}*s_i is built.  Taking i in ascending
         order and v in the previous level's order makes each level in word
         order.  Macdonald's count refuses a walk above the size cap before
         anything is built, and must equal the size of every level the walk finds.
@@ -222,17 +224,21 @@ class WeylGroup:
             raise ValueError("max_length must be >= 0")
         counts = poincare_mod2(self.system, theta)[: None if max_length is None else max_length + 1]
         _check_size(sum(counts))
-        positive = self.system.coroot_coeffs
+        positive, rank = self.system.coroot_coeffs, self.system.rank
+        # columns k < i of v^{-1}*s_i: v^{-1}'s own where C[i][k] = 0 (kept), else moved
+        moved = [[k for k, _ in self._moved[i] if k < i] for i in range(rank)]
+        kept = [[k for k in range(i) if k not in moved[i]] for i in range(rank)]
         levels = [[self.identity]]
         while max_length is None or len(levels) <= max_length:
             level = []
-            for i in range(self.system.rank):
+            for i in range(rank):
                 for v in levels[-1]:
-                    if self._steps_up(v.matrix, v.inverse_matrix, i, theta):
-                        # the inverse of s_i*v is v^{-1}*s_i; column k is negative
-                        # iff k is a left descent of s_i*v, and i must be the smallest
+                    # the inverse of s_i*v is v^{-1}*s_i; column k is negative
+                    # iff k is a left descent of s_i*v, and i must be the smallest
+                    if (self._steps_up(v.matrix, v.inverse_matrix, i, theta)
+                            and all(v.inverse_matrix[k] in positive for k in kept[i])):
                         inverse = self._right_mult(v.inverse_matrix, i)
-                        if all(inverse[k] in positive for k in range(i)):
+                        if all(inverse[k] in positive for k in moved[i]):
                             level.append(self._step(i, v, inverse))
             if not level:
                 break

@@ -564,6 +564,33 @@ def test_walk_makes_each_element_once_from_its_tail(family, rank, monkeypatch):
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+def test_walk_multiplies_only_steps_its_kept_columns_allow(family, rank, monkeypatch):
+    """v^{-1}*s_i keeps v^{-1}'s column k wherever C[i][k] = 0, so a step
+    s_i*v whose kept column k < i is negative has a smaller left descent and
+    is refused before the product is built: every `_right_mult` the walk
+    makes has v^{-1}(a_k) > 0 for each k < i not adjacent to i.  W(A5) then
+    takes 975 products for its 720 elements, against 1,800 when each step
+    up was multiplied before it was tested."""
+    right_mult, calls = WeylGroup._right_mult, []
+
+    def recorded(self, matrix, i):
+        calls.append((matrix, i))
+        return right_mult(self, matrix, i)
+
+    monkeypatch.setattr(WeylGroup, "_right_mult", recorded)
+    system = root_system(family, rank)
+    C = system.cartan.cartan_matrix
+    for theta in _subsets(rank):
+        calls.clear()
+        WeylGroup(system).minimal_representatives(theta)
+        for inverse, i in calls:
+            assert all(is_positive(inverse[k]) for k in range(i) if C[i][k] == 0)
+    calls.clear()
+    assert len(WeylGroup(root_system("A", 5)).minimal_representatives(set())) == 720
+    assert len(calls) == 975
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
 def test_simple_products_match_dense_rules(family, rank):
     """Oracle: w*s_i changes every column j to col_j - C[i][j]*col_i, and
     s_i*w applies the simple reflection s_i to every column."""
