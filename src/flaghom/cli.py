@@ -6,14 +6,19 @@ inclusively (--theta) or by complement (--theta-complement); indices are
 identical numeric content.  Exit codes: 0 success, 1 internal cross-check
 failure, 2 usage error or a job outside the computable range, 141 (128 +
 SIGPIPE, as a shell reports for coreutils) without a message when the reader
-closes stdout before the report is written.
+closes stdout before the report is written.  The process entry, `run`, ends
+the process with ``os._exit`` once `main` has returned and stdout and stderr
+are flushed, so a job does not wait for the interpreter's teardown; under a
+trace or profile hook (cProfile, ``trace``, pdb, coverage) it exits through
+``sys.exit`` instead, so the hook's own report at exit still runs.
 
 Every report is checked before anything is written, so a cross-check
 failure prints nothing to stdout.  Rendering reads a top-level table one
 row at a time; JSON is encoded one top-level value, and one such row, at a
-time into the same bytes as ``json.dumps(report, sort_keys=True)``, and each
-batch of encoded rows is joined into one piece, so a large report is held as
-a few large pieces rather than a small string per row.  `report_coeffs`
+time into the same bytes as ``json.dumps(report, sort_keys=True)``, text and
+TSV format one row's line at a time, and each batch of encoded rows or lines
+is joined into one piece, so a large report is held as a few large pieces
+rather than a small string per row.  `report_coeffs`
 hands `render` a lazy ``map`` over the walk of W^Theta, which builds, and so
 checks, each pair's kappa report and then its row's dict as the row is
 encoded; `render` returns the whole text, and `main` writes it to stdout in
@@ -27,6 +32,7 @@ import itertools
 import json
 import os
 import sys
+from typing import NoReturn
 
 from . import __version__
 from .coeffs import KappaReport, kappa_report
@@ -316,6 +322,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _batched(pieces, sep: str):
+    """The pieces, each batch of up to ``_BATCH`` joined with ``sep`` into one."""
+    pieces = iter(pieces)
+    while batch := list(itertools.islice(pieces, _BATCH)):
+        yield sep.join(batch)
+
+
 def _render_json(report: dict) -> str:
     """``json.dumps(report, sort_keys=True)``, encoded one top-level value,
     and one row of a top-level table, at a time; each batch of up to
@@ -330,8 +343,7 @@ def _render_json(report: dict) -> str:
             pieces.append(_JSON.encode(value))
             continue
         pieces.append("[")
-        rows = iter(value)
-        while batch := ", ".join(map(_JSON.encode, itertools.islice(rows, _BATCH))):
+        for batch in _batched(map(_JSON.encode, value), ", "):
             if pieces[-1] != "[":
                 pieces.append(", ")
             pieces.append(batch)
@@ -353,14 +365,13 @@ def render(report: dict, output_format: str) -> str:
         if isinstance(first, dict):
             headers = list(first)
             lines += [f"# {key}", sep.join(headers)]
-            for row in itertools.chain([first], rows):
-                lines.append(sep.join(_fmt(row.get(h)) for h in headers))
+            lines += _batched((sep.join(_fmt(row.get(h)) for h in headers)
+                               for row in itertools.chain([first], rows)), "\n")
         elif isinstance(value, dict) and key == "matrices":
             lines.append("# matrices")
             for k in sorted(value, key=int):
                 lines.append(f"d_{k}")
-                for row in value[k]:
-                    lines.append(sep.join(str(x) for x in row))
+                lines += _batched((sep.join(map(str, row)) for row in value[k]), "\n")
         else:
             lines.append(f"{key}{sep}{_fmt(value)}")
     return "\n".join(lines)
@@ -392,5 +403,19 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> NoReturn:
+    """The process entry: `main`, then flush stdout and stderr and end with
+    ``os._exit``, skipping the interpreter's teardown.  Under a trace or
+    profile hook (cProfile, ``trace``, pdb, coverage) it ends with
+    ``sys.exit`` instead, so the hook still reports.  A ``SystemExit``
+    raised in `main` propagates."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +71,31 @@ def test_json_batches_join_into_json_dumps(batches, extra, lazy):
     assert flaghom.cli._render_json(report) == expected
 
 
+def _per_row_lines(key, rows, sep):
+    """Oracle: a table rendered with one string per row, joined once."""
+    if not rows:
+        return [f"{key}{sep}"]
+    headers = list(rows[0])
+    return [f"# {key}", sep.join(headers),
+            *(sep.join(flaghom.cli._fmt(row.get(h)) for h in headers) for row in rows)]
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize("batches, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+@pytest.mark.parametrize("output_format, sep", [("text", "  "), ("tsv", "\t")])
+def test_text_batches_join_into_per_row_lines(output_format, sep, batches, extra, lazy):
+    """A table, and a boundary matrix, of batches*B + extra rows, B the batch
+    size, given as a list or as a lazy ``map``, render as the per-row join."""
+    n = batches * flaghom.cli._BATCH + extra
+    rows = [_row(k) for k in range(n)]
+    matrix = [[k, -k] for k in range(n)]
+    report = {"table": map(_row, range(n)) if lazy else rows,
+              "matrices": {"1": matrix, "2": []}, "order": 6}
+    expected = [*_per_row_lines("table", rows, sep), "# matrices", "d_1",
+                *(f"{k}{sep}{-k}" for k in range(n)), "d_2", f"order{sep}6"]
+    assert flaghom.cli.render(report, output_format) == "\n".join(expected)
+
+
 @pytest.mark.parametrize("output_format, sep", [("text", "  "), ("tsv", "\t")])
 def test_empty_table_prints_its_name(capsys, output_format, sep):
     code, out = run_cli(capsys, "coeffs", "A", "2", "--max-degree", "0",
@@ -131,15 +157,17 @@ def _traced_peak_mib(argv):
     return peak / 2**20
 
 
-@pytest.mark.parametrize("output_format, limit_mib", [("json", 2.0), ("tsv", 1.24)])
+@pytest.mark.parametrize("output_format, limit_mib",
+                         [("json", 2.0), ("tsv", 0.95), ("text", 1.0)])
 def test_coeffs_peak_traced_memory(output_format, limit_mib):
     """`coeffs A 5` up to degree 15 (an 862 KB JSON report): one batch of
     row dicts at a time, each pair dropped as its row is encoded, the
     system's own root tuples, and the report written in slices.  The peak
     was 7.33 MiB traced in JSON and 4.34 in TSV with every row a dict before
     the first was encoded, 2.85 and 2.32 with every pair kept and each root
-    vector a fresh tuple, and 2.14 MiB in JSON with each row encoded into a
-    string of its own; it is 1.93 and 1.11 now."""
+    vector a fresh tuple, 2.14 MiB in JSON with each row encoded into a
+    string of its own, and 1.11 in TSV and 1.16 in text with each row's line
+    a string of its own; it is 1.93, 0.92 and 0.97 now."""
     argv = ["coeffs", "A", "5", "--max-degree", "15", "--format", output_format]
     assert _traced_peak_mib(argv) < limit_mib
 
@@ -608,3 +636,115 @@ def test_closed_stdout_exits_141_without_traceback():
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+class _ProcessEnded(Exception):
+    """Raised by the stand-in for ``os._exit``, which does not return."""
+
+
+def _recording_run(monkeypatch, code, events):
+    """Runs `cli.run` over a `main` that writes, unflushed, to stdout and
+    stderr and returns ``code``; flushes and ``os._exit`` land in ``events``."""
+
+    class Stream:
+        def __init__(self, name):
+            self.name = name
+
+        def write(self, text):
+            events.append((self.name, "write"))
+            return len(text)
+
+        def flush(self):
+            events.append((self.name, "flush"))
+
+    def fake_main():
+        print("report", file=sys.stdout)
+        print("warning", file=sys.stderr)
+        return code
+
+    monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+    monkeypatch.setattr(flaghom.cli, "main", fake_main)
+
+    def fake_exit(status):
+        events.append(("_exit", status))
+        raise _ProcessEnded
+
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    flaghom.cli.run()
+
+
+@pytest.mark.parametrize("code", [0, 1, 141])
+def test_run_ends_with_os_exit_after_flushing(monkeypatch, code):
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        pytest.skip("run under a trace or profile hook, which exits through sys.exit")
+    events = []
+    with pytest.raises(_ProcessEnded):
+        _recording_run(monkeypatch, code, events)
+    assert events[-3:] == [("stdout", "flush"), ("stderr", "flush"), ("_exit", code)]
+
+
+@pytest.mark.parametrize("code", [0, 1, 141])
+def test_run_exits_normally_under_a_profile_hook(monkeypatch, code):
+    events = []
+    previous = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            _recording_run(monkeypatch, code, events)
+    finally:
+        sys.setprofile(previous)
+    assert exc.value.code == code
+    assert events[-2:] == [("stdout", "flush"), ("stderr", "flush")]
+    assert ("_exit", code) not in events
+
+
+def test_run_lets_main_raise_system_exit(monkeypatch):
+    monkeypatch.setattr(os, "_exit", lambda status: pytest.fail("os._exit was called"))
+    monkeypatch.setattr(sys, "argv", ["flaghom", "roots", "A", "0"])
+    with pytest.raises(SystemExit) as exc:
+        flaghom.cli.run()
+    assert exc.value.code == 2
+
+
+def test_cprofile_still_prints_its_statistics():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "flaghom.cli", "roots", "A", "2"],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("# roots\ncoeffs  height  coroot  coroot_height\n")
+    assert "function calls" in proc.stdout and "Ordered by:" in proc.stdout
+
+
+@pytest.mark.parametrize("output_format", ["text", "json", "tsv"])
+@pytest.mark.parametrize("job", [
+    "roots B 3",
+    "weyl A 3 --theta 2",
+    "coeffs A 4 --max-degree 10",  # 92 KiB in JSON, longer than one written slice
+    "homology A 3",
+    "orientability A 4 --theta 1,3",
+    "sweep A 3",
+    "homology D 4 --max-degree 5",  # refused: exit 2
+])
+def test_process_output_is_the_in_process_output(capsys, job, output_format):
+    """`python -m flaghom.cli`, which ends through `run`, writes the bytes
+    and exit code that `main` gives in-process."""
+    argv = [*job.split(), "--format", output_format]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "flaghom.cli", *argv],
+                          capture_output=True, env=CHILD_ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, captured.out.encode(), captured.err.encode())
+    assert code == (2 if "D 4" in job else 0)
+
+
+def test_installed_script_ends_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"flaghom": "flaghom.cli:run"}
