@@ -8,17 +8,18 @@ failure, 2 usage error or a job outside the computable range, 141 (128 +
 SIGPIPE, as a shell reports for coreutils) without a message when the reader
 closes stdout before the report is written.  The process entry, `run`, ends
 the process with ``os._exit`` once `main` has returned and stdout and stderr
-are flushed, so a job does not wait for the interpreter's teardown; under a
-trace or profile hook (cProfile, ``trace``, pdb, coverage) it exits through
-``sys.exit`` instead, so the hook's own report at exit still runs.
+are flushed, so a job does not wait for the interpreter's teardown.  Under a
+trace or profile hook it exits through ``sys.exit`` instead, so the hook's
+own report at exit still runs: ``sys.settrace`` and ``sys.setprofile`` (pdb,
+``trace``, coverage's tracer, cProfile up to Python 3.11) and, from Python
+3.12 on, any ``sys.monitoring`` tool (cProfile, coverage's ``sysmon`` core).
 
 Every report is checked before anything is written, so a cross-check
 failure prints nothing to stdout.  Rendering reads a top-level table one
 row at a time; JSON is encoded one top-level value, and one such row, at a
-time into the same bytes as ``json.dumps(report, sort_keys=True)``, text and
-TSV format one row's line at a time, and each batch of encoded rows or lines
-is joined into one piece, so a large report is held as a few large pieces
-rather than a small string per row.  `report_coeffs`
+time into the same bytes as ``json.dumps(report, sort_keys=True)``, and each
+batch of encoded rows is joined into one piece, so a large report is held as
+a few large pieces rather than a small string per row.  `report_coeffs`
 hands `render` a lazy ``map`` over the walk of W^Theta, which builds, and so
 checks, each pair's kappa report and then its row's dict as the row is
 encoded; `render` returns the whole text, and `main` writes it to stdout in
@@ -322,13 +323,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _batched(pieces, sep: str):
-    """The pieces, each batch of up to ``_BATCH`` joined with ``sep`` into one."""
-    pieces = iter(pieces)
-    while batch := list(itertools.islice(pieces, _BATCH)):
-        yield sep.join(batch)
-
-
 def _render_json(report: dict) -> str:
     """``json.dumps(report, sort_keys=True)``, encoded one top-level value,
     and one row of a top-level table, at a time; each batch of up to
@@ -343,7 +337,8 @@ def _render_json(report: dict) -> str:
             pieces.append(_JSON.encode(value))
             continue
         pieces.append("[")
-        for batch in _batched(map(_JSON.encode, value), ", "):
+        rows = iter(value)
+        while batch := ", ".join(map(_JSON.encode, itertools.islice(rows, _BATCH))):
             if pieces[-1] != "[":
                 pieces.append(", ")
             pieces.append(batch)
@@ -365,13 +360,14 @@ def render(report: dict, output_format: str) -> str:
         if isinstance(first, dict):
             headers = list(first)
             lines += [f"# {key}", sep.join(headers)]
-            lines += _batched((sep.join(_fmt(row.get(h)) for h in headers)
-                               for row in itertools.chain([first], rows)), "\n")
+            for row in itertools.chain([first], rows):
+                lines.append(sep.join(_fmt(row.get(h)) for h in headers))
         elif isinstance(value, dict) and key == "matrices":
             lines.append("# matrices")
             for k in sorted(value, key=int):
                 lines.append(f"d_{k}")
-                lines += _batched((sep.join(map(str, row)) for row in value[k]), "\n")
+                for row in value[k]:
+                    lines.append(sep.join(str(x) for x in row))
         else:
             lines.append(f"{key}{sep}{_fmt(value)}")
     return "\n".join(lines)
@@ -405,16 +401,16 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> NoReturn:
     """The process entry: `main`, then flush stdout and stderr and end with
-    ``os._exit``, skipping the interpreter's teardown.  Under a trace or
-    profile hook (cProfile, ``trace``, pdb, coverage) it ends with
-    ``sys.exit`` instead, so the hook still reports.  A ``SystemExit``
-    raised in `main` propagates."""
+    ``os._exit``, skipping the interpreter's teardown; under a trace, profile
+    or ``sys.monitoring`` hook, ``sys.exit``.  A ``SystemExit`` raised in
+    `main` (usage errors, ``--help``, ``--version``) propagates."""
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()
-    if sys.gettrace() is None and sys.getprofile() is None:
-        os._exit(code)
-    sys.exit(code)
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12 on
+    if sys.gettrace() or sys.getprofile() or monitoring and any(map(monitoring.get_tool, range(6))):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":
