@@ -1,61 +1,68 @@
-"""Exact cellular homology of real split flag manifolds from Cartan data."""
+"""Exact cellular homology of real split flag manifolds from Cartan data.
+
+Every command reads `rootsys`, which is imported at once.  `weyl`, `coeffs`
+and `homology` are lazy submodules (``importlib.util.LazyLoader``): each
+module object is in ``sys.modules`` and on this package from the start, and
+its source is compiled and run on the first read of one of its attributes,
+so that a CLI job compiles only the modules it calls.  The package's public
+names are read from their defining modules through ``__getattr__``.
+"""
+
+import importlib.util
+import sys
+
+from . import rootsys
 
 __version__ = "0.1.0"
 
-from .coeffs import (
-    KappaReport,
-    coefficient,
-    kappa_report,
-    kappa_via_dual_height_remarks,
-    kappa_via_height,
-    kappa_via_phi,
-    kappa_via_sigma,
-)
-from .homology import (
-    ChainComplex,
-    HomologyGroup,
-    build_complex,
-    h1_h2_closed_form,
-    homology_groups,
-    orientable_typeA,
-    orientable_via_topcell,
-    poincare_mod2,
-    smith_normal_form,
-)
-from .rootsys import CartanData, RootSystem, build_root_system, height, root_system
-from .weyl import (
-    CoveringPair,
-    WeylElement,
-    WeylGroup,
-    covers_oracle_typeA,
-    one_line,
-)
 
-__all__ = [
-    "CartanData",
-    "ChainComplex",
-    "CoveringPair",
-    "HomologyGroup",
-    "KappaReport",
-    "RootSystem",
-    "WeylElement",
-    "WeylGroup",
-    "build_complex",
-    "build_root_system",
-    "coefficient",
-    "covers_oracle_typeA",
-    "h1_h2_closed_form",
-    "height",
-    "homology_groups",
-    "kappa_report",
-    "kappa_via_dual_height_remarks",
-    "kappa_via_height",
-    "kappa_via_phi",
-    "kappa_via_sigma",
-    "one_line",
-    "orientable_typeA",
-    "orientable_via_topcell",
-    "poincare_mod2",
-    "root_system",
-    "smith_normal_form",
-]
+def _lazy(name: str):
+    """The submodule `name`, registered now and run on first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+weyl = _lazy("weyl")
+coeffs = _lazy("coeffs")
+homology = _lazy("homology")
+
+_EXPORTS = {
+    "CartanData": rootsys,
+    "ChainComplex": homology,
+    "CoveringPair": weyl,
+    "HomologyGroup": homology,
+    "KappaReport": coeffs,
+    "RootSystem": rootsys,
+    "WeylElement": weyl,
+    "WeylGroup": weyl,
+    "build_complex": homology,
+    "build_root_system": rootsys,
+    "coefficient": coeffs,
+    "covers_oracle_typeA": weyl,
+    "h1_h2_closed_form": homology,
+    "height": rootsys,
+    "homology_groups": homology,
+    "kappa_report": coeffs,
+    "kappa_via_dual_height_remarks": coeffs,
+    "kappa_via_height": coeffs,
+    "kappa_via_phi": coeffs,
+    "kappa_via_sigma": coeffs,
+    "one_line": weyl,
+    "orientable_typeA": homology,
+    "orientable_via_topcell": homology,
+    "poincare_mod2": rootsys,
+    "root_system": rootsys,
+    "smith_normal_form": homology,
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_EXPORTS[name], name)

@@ -13,6 +13,9 @@ trace or profile hook it exits through ``sys.exit`` instead, so the hook's
 own report at exit still runs: ``sys.settrace`` and ``sys.setprofile`` (pdb,
 ``trace``, coverage's tracer, cProfile up to Python 3.11) and, from Python
 3.12 on, any ``sys.monitoring`` tool (cProfile, coverage's ``sysmon`` core).
+The report builders read `weyl`, `coeffs` and `homology`, which the package
+loads lazily, as modules when they run, so a job compiles only the modules
+its command calls.
 
 Every report is checked before anything is written, so a cross-check
 failure prints nothing to stdout.  Rendering reads a top-level table one
@@ -33,22 +36,18 @@ import itertools
 import json
 import os
 import sys
-from typing import NoReturn
 
-from . import __version__
-from .coeffs import KappaReport, kappa_report
-from .homology import (
-    HomologyGroup,
-    SignIndeterminateError,
-    build_complex,
-    h1_h2_closed_form,
-    homology_groups,
-    orientable_typeA,
-    orientable_via_topcell,
+from . import __version__, coeffs, homology, weyl
+from .rootsys import (
+    DEFAULT_SIZE_CAP,
+    POSITIVE_ROOT_COUNTS,
+    GroupTooLargeError,
+    Record,
+    check_rank,
+    height,
     poincare_mod2,
+    root_system,
 )
-from .rootsys import POSITIVE_ROOT_COUNTS, Record, check_rank, height, root_system
-from .weyl import DEFAULT_SIZE_CAP, GroupTooLargeError, WeylGroup, one_line
 
 SCHEMA_VERSION = "2"
 
@@ -144,14 +143,14 @@ def _word_out(word: tuple[int, ...]) -> list[int]:
     return [i + 1 for i in word]
 
 
-def _group_out(h: HomologyGroup) -> dict:
+def _group_out(h: homology.HomologyGroup) -> dict:
     return {"free_rank": h.free_rank, "torsion": list(h.torsion)}
 
 
 def _cell_out(job: JobSpec, w) -> dict:
     out = {"word": _word_out(w.word), "length": w.length}
     if job.family == "A":
-        out["one_line"] = list(one_line(w.word, job.rank + 1))
+        out["one_line"] = list(weyl.one_line(w.word, job.rank + 1))
     return out
 
 
@@ -172,14 +171,14 @@ def report_roots(job: JobSpec) -> dict:
 
 def report_weyl(job: JobSpec) -> dict:
     system = root_system(job.family, job.rank)
-    reps = WeylGroup(system).minimal_representatives(job.theta)
+    reps = weyl.WeylGroup(system).minimal_representatives(job.theta)
     return {
         "order": sum(poincare_mod2(system, frozenset())),
         "cells": [_cell_out(job, w) for w in reps],
     }
 
 
-def _pair_out(rep: KappaReport) -> dict:
+def _pair_out(rep: coeffs.KappaReport) -> dict:
     pair = rep.pair
     return {
         "w": _word_out(pair.w.word),
@@ -202,8 +201,8 @@ def _pair_out(rep: KappaReport) -> dict:
 def report_coeffs(job: JobSpec) -> dict:
     """Lazy rows: `render` walks W^Theta, and builds, and so checks, each
     pair's kappa report, as it encodes that pair's row."""
-    group = WeylGroup(root_system(job.family, job.rank))
-    reports = (kappa_report(group, pair)
+    group = weyl.WeylGroup(root_system(job.family, job.rank))
+    reports = (coeffs.kappa_report(group, pair)
                for _, pairs in group.cells_with_covers(job.theta, job.max_degree)
                for pair in pairs)
     return {"covering_pairs": map(_pair_out, reports)}
@@ -217,12 +216,12 @@ def report_homology(job: JobSpec) -> dict:
             "mod2_betti": betti,
             "homology": [{"degree": k, "mod2_dim": b} for k, b in enumerate(betti)],
         }
-    group = WeylGroup(system)
-    complex_ = build_complex(group, job.theta, job.max_degree)
-    groups = homology_groups(complex_, job.max_degree - 1)
-    closed: dict[str, HomologyGroup] = {}
+    group = weyl.WeylGroup(system)
+    complex_ = homology.build_complex(group, job.theta, job.max_degree)
+    groups = homology.homology_groups(complex_, job.max_degree - 1)
+    closed: dict[str, homology.HomologyGroup] = {}
     if job.family == "A" and job.rank >= 2:
-        h1, h2 = h1_h2_closed_form(job.rank + 1, job.theta)
+        h1, h2 = homology.h1_h2_closed_form(job.rank + 1, job.theta)
         closed = {key: h for key, h in (("H1", h1), ("H2", h2)) if h is not None}
     for k, want in enumerate(closed.values(), start=1):
         if k < job.max_degree and groups[k] != want:
@@ -242,7 +241,7 @@ def report_homology(job: JobSpec) -> dict:
 
 def _orientable_typeA_checked(n: int, theta: frozenset[int], top_cell: bool) -> bool:
     """The type A parity criterion, which must agree with the top-cell route."""
-    criterion = orientable_typeA(n, theta)
+    criterion = homology.orientable_typeA(n, theta)
     if criterion != top_cell:
         raise AssertionError(
             f"orientability criteria disagree for theta={_word_out(sorted(theta))}"
@@ -251,7 +250,7 @@ def _orientable_typeA_checked(n: int, theta: frozenset[int], top_cell: bool) -> 
 
 
 def report_orientability(job: JobSpec) -> dict:
-    top_cell = orientable_via_topcell(root_system(job.family, job.rank), job.theta)
+    top_cell = homology.orientable_via_topcell(root_system(job.family, job.rank), job.theta)
     orientable: dict = {"top_cell": top_cell}
     if job.family == "A":
         criterion = _orientable_typeA_checked(job.rank + 1, job.theta, top_cell)
@@ -273,12 +272,12 @@ def report_sweep(job: JobSpec) -> dict:
             theta = frozenset(theta_tuple)
             row: dict = {
                 "theta": sorted(i + 1 for i in theta),
-                "orientable": orientable_via_topcell(system, theta),
+                "orientable": homology.orientable_via_topcell(system, theta),
             }
             if job.family == "A":
                 _orientable_typeA_checked(n, theta, row["orientable"])
                 if n >= 3:
-                    h1, h2 = h1_h2_closed_form(n, theta)
+                    h1, h2 = homology.h1_h2_closed_form(n, theta)
                     row["h1_torsion_rank"] = len(h1.torsion)
                     if h2 is not None:
                         row["h2_torsion_rank"] = len(h2.torsion)
@@ -384,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         body = REPORTERS[job.command](job)
         report = {"schema_version": SCHEMA_VERSION, "job": job.as_dict(), **body}
         text = render(report, job.output_format)
-    except (SignIndeterminateError, GroupTooLargeError) as exc:
+    except (GroupTooLargeError, homology.SignIndeterminateError) as exc:
         parser.exit(2, f"flaghom: error: {exc}\n")
     except AssertionError as exc:
         print(f"flaghom: cross-check failure: {exc}", file=sys.stderr)
@@ -399,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def run() -> NoReturn:
+def run():
     """The process entry: `main`, then flush stdout and stderr and end with
     ``os._exit``, skipping the interpreter's teardown; under a trace, profile
     or ``sys.monitoring`` hook, ``sys.exit``.  A ``SystemExit`` raised in

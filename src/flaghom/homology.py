@@ -7,16 +7,17 @@ and `homology_groups` certifies every degree that depends on them; in type A
 the table reaches degree 3, hence H_1 and H_2.  Every entry is 0 or +-2, so
 mod-2 homology is the length count of W^Theta, which `rootsys.poincare_mod2`
 takes from root heights without building W; orientability reads the top
-cell's covers off the root system alone.
+cell's covers off the root system alone.  `coeffs` is read as a module at
+call time, so the commands that need only orientability load neither it
+nor `weyl`.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .coeffs import coefficient
+from . import coeffs, weyl
 from .rootsys import Coeffs, Record, RootSystem, poincare_mod2  # noqa: F401 (re-exported)
-from .weyl import WeylElement, WeylGroup
 
 
 class SignIndeterminateError(ValueError):
@@ -37,7 +38,7 @@ class ChainComplex(Record):
 
 
 def build_complex(
-    group: WeylGroup, theta: frozenset[int] | set[int], max_degree: int
+    group: weyl.WeylGroup, theta: frozenset[int] | set[int], max_degree: int
 ) -> ChainComplex:
     """Assemble integral boundary matrices on W^Theta through the given degree
     in one pass over `WeylGroup.cells_with_covers`, each row as its cell arrives.
@@ -49,7 +50,7 @@ def build_complex(
     `homology_groups` re-verifies that before trusting a degree that depends
     on such a matrix.
     """
-    cells: dict[int, list[WeylElement]] = {k: [] for k in range(max_degree + 1)}
+    cells: dict[int, list[weyl.WeylElement]] = {k: [] for k in range(max_degree + 1)}
     boundaries: dict[int, list[list[int]]] = {k: [] for k in range(1, max_degree + 1)}
     indeterminate: dict[int, list[int]] = {}
     index: dict[tuple, int] = {}  # a cell's matrix to its position within its degree
@@ -61,7 +62,7 @@ def build_complex(
             continue
         row = [0] * len(cells[k - 1])
         for pair in pairs:
-            magnitude, sign = coefficient(group, pair)
+            magnitude, sign = coeffs.coefficient(group, pair)
             if magnitude and sign is None:
                 row = [0] * len(row)
                 indeterminate.setdefault(k, []).append(index[w.matrix])

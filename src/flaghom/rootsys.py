@@ -43,8 +43,16 @@ RANK_BOUNDS = {  # A-D up to the largest rank within MAX_POSITIVE_ROOTS
 } | {"E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
+#: the most elements a Weyl group query, or theta rows a sweep, may store
+DEFAULT_SIZE_CAP = 10**6
+
+
 class NotFiniteTypeError(ValueError):
     """Raised when a Cartan matrix does not generate a finite root system."""
+
+
+class GroupTooLargeError(ValueError):
+    """Raised when a query would store more elements than the cap."""
 
 
 def height(root: Coeffs) -> int:

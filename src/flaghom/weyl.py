@@ -21,8 +21,11 @@ by Deodhar's lemma; it takes the step s_j*u only when j is the new element's
 smallest left descent, so it makes each element once, from its tail.
 Macdonald's count (`rootsys.poincare_mod2`) refuses a walk above
 ``DEFAULT_SIZE_CAP`` before it builds anything and must equal its level
-sizes after; `_step` checks the cap as it stores each element too.  A root
-is positive iff the root system's table of positive roots holds it.
+sizes after; `_step` checks the cap as it stores each element too.  The cap
+and `GroupTooLargeError` are defined in `rootsys`, so that the CLI can refuse
+a job without loading this module; the walk reads this module's own name
+for the cap.  A root is positive iff the root system's table of positive
+roots holds it.
 
 The Bruhat covers of w = s_j*u, u its ``tail``, are lifted from u's: deleting
 letter 1 gives u, and letter I + 1 gives s_j*v for each cover v of u at letter
@@ -39,15 +42,18 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import groupby
 
-from .rootsys import Coeffs, Record, RootSystem, nonzero_rows, poincare_mod2, simple_root
+from .rootsys import (
+    DEFAULT_SIZE_CAP,
+    Coeffs,
+    GroupTooLargeError,
+    Record,
+    RootSystem,
+    nonzero_rows,
+    poincare_mod2,
+    simple_root,
+)
 
 Matrix = tuple[Coeffs, ...]  # columns: images of the simple roots
-
-DEFAULT_SIZE_CAP = 10**6
-
-
-class GroupTooLargeError(ValueError):
-    """Raised when a query would store more elements than the cap."""
 
 
 def _check_size(size: int) -> None:

@@ -1,5 +1,6 @@
 """The package's values are read-only `Record`s, and importing the CLI,
-which every job's fresh interpreter does, stays small."""
+which every job's fresh interpreter does, stays small: a job runs only the
+modules its command calls."""
 
 import copy
 import json
@@ -133,8 +134,9 @@ def test_weyl_elements_are_equal_by_matrix_alone():
 
 
 #: MiB still allocated after `import flaghom.cli`, json and argparse imported
-#: first: 1.17 with dataclass records, 0.28 now (0.24 from a bytecode cache)
-IMPORT_RETAINED_MIB = 0.30
+#: first: 1.17 with dataclass records, 0.28 with every module run at import,
+#: 0.18 now that `weyl`, `coeffs` and `homology` run on first use
+IMPORT_RETAINED_MIB = 0.20
 
 _IMPORT_PROBE = """
 import json, argparse, sys, tracemalloc
@@ -156,3 +158,33 @@ def test_importing_the_cli_stays_lean():
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     assert heavy.isdisjoint(probe["modules"])
     assert probe["retained"] / 2**20 < IMPORT_RETAINED_MIB
+
+
+_RUN_PROBE = """
+import json, sys, types
+import flaghom.cli
+names = [f"flaghom.{m}" for m in ("rootsys", "weyl", "coeffs", "homology")]
+registered = all(name in sys.modules for name in names)
+code = flaghom.cli.main(sys.argv[1:])
+ran = [name[8:] for name in names if type(sys.modules[name]) is types.ModuleType]
+print(json.dumps({"registered": registered, "code": code, "ran": ran}))
+"""
+
+
+@pytest.mark.parametrize("job, ran", [
+    ("roots A 3", ["rootsys"]),
+    ("homology B 3 --ring z2", ["rootsys"]),
+    ("orientability A 3", ["rootsys", "homology"]),
+    ("sweep A 3", ["rootsys", "homology"]),
+    ("weyl A 3", ["rootsys", "weyl"]),
+    ("coeffs A 3", ["rootsys", "weyl", "coeffs"]),
+    ("homology A 3", ["rootsys", "weyl", "coeffs", "homology"]),
+])
+def test_a_job_runs_only_the_modules_its_command_calls(job, ran):
+    """`import flaghom.cli` puts every module in ``sys.modules``, where the
+    trace driver finds them; a module the job never read is still
+    LazyLoader's module subclass, neither compiled nor run."""
+    proc = subprocess.run([sys.executable, "-B", "-c", _RUN_PROBE, *job.split()],
+                          capture_output=True, env=CHILD_ENV, check=True)
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe == {"registered": True, "code": 0, "ran": ran}
