@@ -34,7 +34,7 @@ _EXPORTS = {
     "CartanData": rootsys,
     "ChainComplex": homology,
     "CoveringPair": weyl,
-    "HomologyGroup": homology,
+    "HomologyGroup": rootsys,
     "KappaReport": coeffs,
     "RootSystem": rootsys,
     "WeylElement": weyl,
@@ -43,7 +43,7 @@ _EXPORTS = {
     "build_root_system": rootsys,
     "coefficient": coeffs,
     "covers_oracle_typeA": weyl,
-    "h1_h2_closed_form": homology,
+    "h1_h2_closed_form": rootsys,
     "height": rootsys,
     "homology_groups": homology,
     "kappa_report": coeffs,
@@ -52,8 +52,8 @@ _EXPORTS = {
     "kappa_via_phi": coeffs,
     "kappa_via_sigma": coeffs,
     "one_line": weyl,
-    "orientable_typeA": homology,
-    "orientable_via_topcell": homology,
+    "orientable_typeA": rootsys,
+    "orientable_via_topcell": rootsys,
     "poincare_mod2": rootsys,
     "root_system": rootsys,
     "smith_normal_form": homology,

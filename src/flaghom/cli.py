@@ -42,9 +42,13 @@ from .rootsys import (
     DEFAULT_SIZE_CAP,
     POSITIVE_ROOT_COUNTS,
     GroupTooLargeError,
+    HomologyGroup,
     Record,
     check_rank,
+    h1_h2_closed_form,
     height,
+    orientable_typeA,
+    orientable_via_topcell,
     poincare_mod2,
     root_system,
 )
@@ -143,7 +147,7 @@ def _word_out(word: tuple[int, ...]) -> list[int]:
     return [i + 1 for i in word]
 
 
-def _group_out(h: homology.HomologyGroup) -> dict:
+def _group_out(h: HomologyGroup) -> dict:
     return {"free_rank": h.free_rank, "torsion": list(h.torsion)}
 
 
@@ -219,9 +223,9 @@ def report_homology(job: JobSpec) -> dict:
     group = weyl.WeylGroup(system)
     complex_ = homology.build_complex(group, job.theta, job.max_degree)
     groups = homology.homology_groups(complex_, job.max_degree - 1)
-    closed: dict[str, homology.HomologyGroup] = {}
+    closed: dict[str, HomologyGroup] = {}
     if job.family == "A" and job.rank >= 2:
-        h1, h2 = homology.h1_h2_closed_form(job.rank + 1, job.theta)
+        h1, h2 = h1_h2_closed_form(job.rank + 1, job.theta)
         closed = {key: h for key, h in (("H1", h1), ("H2", h2)) if h is not None}
     for k, want in enumerate(closed.values(), start=1):
         if k < job.max_degree and groups[k] != want:
@@ -241,7 +245,7 @@ def report_homology(job: JobSpec) -> dict:
 
 def _orientable_typeA_checked(n: int, theta: frozenset[int], top_cell: bool) -> bool:
     """The type A parity criterion, which must agree with the top-cell route."""
-    criterion = homology.orientable_typeA(n, theta)
+    criterion = orientable_typeA(n, theta)
     if criterion != top_cell:
         raise AssertionError(
             f"orientability criteria disagree for theta={_word_out(sorted(theta))}"
@@ -250,7 +254,7 @@ def _orientable_typeA_checked(n: int, theta: frozenset[int], top_cell: bool) -> 
 
 
 def report_orientability(job: JobSpec) -> dict:
-    top_cell = homology.orientable_via_topcell(root_system(job.family, job.rank), job.theta)
+    top_cell = orientable_via_topcell(root_system(job.family, job.rank), job.theta)
     orientable: dict = {"top_cell": top_cell}
     if job.family == "A":
         criterion = _orientable_typeA_checked(job.rank + 1, job.theta, top_cell)
@@ -272,12 +276,12 @@ def report_sweep(job: JobSpec) -> dict:
             theta = frozenset(theta_tuple)
             row: dict = {
                 "theta": sorted(i + 1 for i in theta),
-                "orientable": homology.orientable_via_topcell(system, theta),
+                "orientable": orientable_via_topcell(system, theta),
             }
             if job.family == "A":
                 _orientable_typeA_checked(n, theta, row["orientable"])
                 if n >= 3:
-                    h1, h2 = homology.h1_h2_closed_form(n, theta)
+                    h1, h2 = h1_h2_closed_form(n, theta)
                     row["h1_torsion_rank"] = len(h1.torsion)
                     if h2 is not None:
                         row["h2_torsion_rank"] = len(h2.torsion)

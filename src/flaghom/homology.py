@@ -6,28 +6,26 @@ coefficient engine.  Rows the low-degree sign table cannot sign are zeroed,
 and `homology_groups` certifies every degree that depends on them; in type A
 the table reaches degree 3, hence H_1 and H_2.  Every entry is 0 or +-2, so
 mod-2 homology is the length count of W^Theta, which `rootsys.poincare_mod2`
-takes from root heights without building W; orientability reads the top
-cell's covers off the root system alone.  `coeffs` is read as a module at
-call time, so the commands that need only orientability load neither it
-nor `weyl`.
+takes from root heights without building W.  Orientability, read off the top
+cell's covers, and the type A closed forms need no Weyl group either and live
+in `rootsys` with the `HomologyGroup` record; `poincare_mod2` and
+`orientable_via_topcell` are re-exported here.  `coeffs` and `weyl` are read
+as modules at call time.
 """
 
 from __future__ import annotations
 
-from math import comb
-
 from . import coeffs, weyl
-from .rootsys import Coeffs, Record, RootSystem, poincare_mod2  # noqa: F401 (re-exported)
+from .rootsys import (  # noqa: F401 (re-exported)
+    HomologyGroup,
+    Record,
+    orientable_via_topcell,
+    poincare_mod2,
+)
 
 
 class SignIndeterminateError(ValueError):
     """A homology degree depends on boundary rows with undetermined signs."""
-
-
-class HomologyGroup(Record):
-    """Z^free_rank plus the cyclic groups of orders ``torsion``."""
-
-    __slots__ = ("free_rank", "torsion")
 
 
 class ChainComplex(Record):
@@ -160,57 +158,3 @@ def homology_groups(complex_: ChainComplex, up_to_degree: int) -> list[HomologyG
         out.append(HomologyGroup(free, torsion))
         rank_k = rank_k1
     return out
-
-
-# -- type A closed forms --------------------------------------------------
-
-
-def h1_h2_closed_form(
-    n: int, theta: frozenset[int] | set[int]
-) -> tuple[HomologyGroup, HomologyGroup | None]:
-    """Closed-form H_1 and H_2 of the type A_{n-1} partial flag manifold.
-
-    theta is a set of 0-based simple-root indices in range(n-1).  H_1 needs
-    n >= 3; H_2 needs n >= 4 and is returned as None for n == 3.
-    """
-    theta = frozenset(theta)
-    if not theta <= set(range(n - 1)):
-        raise ValueError("theta indices out of range")
-    if n < 3:
-        raise ValueError("formula out of stated range")
-    h1 = HomologyGroup(0, (2,) * (n - len(theta) - 1))
-    if n < 4:
-        return h1, None
-    runs = sum(1 for i in theta if i - 1 not in theta)  # components of theta
-    exponent = comb(n - len(theta) - 1, 2) + runs - 1
-    return h1, HomologyGroup(0, (2,) * exponent)
-
-
-def orientable_typeA(n: int, theta: frozenset[int] | set[int]) -> bool:
-    """Parity criterion on the gaps of the complement positions.
-
-    With complement positions d_1 < ... < d_k (1-based) and sentinels
-    d_0 = 0, d_{k+1} = n, the manifold is orientable iff all consecutive
-    differences share one parity.
-    """
-    theta = frozenset(theta)
-    if not theta <= set(range(n - 1)):
-        raise ValueError("theta indices out of range")
-    complement = sorted(i + 1 for i in range(n - 1) if i not in theta)
-    ds = [0, *complement, n]
-    gaps = [b - a for a, b in zip(ds, ds[1:])]
-    return len({g % 2 for g in gaps}) <= 1
-
-
-def orientable_via_topcell(system: RootSystem, theta: frozenset[int] | set[int]) -> bool:
-    """The top cell w_0 w_{0,Theta} of W^Theta has zero boundary iff kappa =
-    ht(gamma^v) is odd on each of its covers w_0 s_i w_{0,Theta}, i outside
-    Theta (x -> w_0 x w_{0,Theta} reverses the Bruhat order of W^Theta), whose
-    gamma_i = w_{0,Theta}(a_i) is the highest root with coefficient 1 at a_i and
-    0 at every other simple root outside Theta; no Weyl element is built."""
-    top: dict[int, Coeffs] = {}
-    for root in system.positive_roots:  # by height, so each gamma_i is kept last
-        outside = [(i, c) for i, c in enumerate(root) if c and i not in theta]
-        if len(outside) == 1 and outside[0][1] == 1:
-            top[outside[0][0]] = root
-    return all(system.coroot_height(gamma) % 2 for gamma in top.values())

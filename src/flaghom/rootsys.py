@@ -7,7 +7,14 @@ one's coroot along, since s_i(b)^v = s_i(b^v), and the row <a_j, b^v> of its
 pairings with the simple roots; no invariant form is needed.  Both are
 tabulated once when the system is built, as is ``roots``: every root, positive
 or negative, to the one tuple that Weyl elements and covers store for it.
-`poincare_mod2` counts W^Theta by length from the root heights alone.
+
+The answers that need no Weyl group live here too: `poincare_mod2` counts
+W^Theta by length from the root heights alone, `orientable_via_topcell` reads
+orientability off the top cell's covers in the root system, and the type A
+closed forms (`h1_h2_closed_form`, `orientable_typeA`) need no root system at
+all.  So `roots`, `orientability`, `sweep` and `homology --ring z2` load no
+module of the package beyond this one and `cli`; every other module is
+compiled only by the jobs that build W.
 
 `CartanData`, `RootSystem` and the package's other values are `Record`s:
 plain ``__slots__`` classes with read-only fields set by position, so no class
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import count
+from math import comb
 
 Coeffs = tuple[int, ...]
 
@@ -296,3 +304,63 @@ def _product_of_q_integers(ks) -> list[int]:
     for k in ks:
         poly = [sum(poly[max(0, i - k + 1) : i + 1]) for i in range(len(poly) + k - 1)]
     return poly
+
+
+# -- answers that need no Weyl group ----------------------------------------
+
+
+class HomologyGroup(Record):
+    """Z^free_rank plus the cyclic groups of orders ``torsion``."""
+
+    __slots__ = ("free_rank", "torsion")
+
+
+def h1_h2_closed_form(
+    n: int, theta: frozenset[int] | set[int]
+) -> tuple[HomologyGroup, HomologyGroup | None]:
+    """Closed-form H_1 and H_2 of the type A_{n-1} partial flag manifold.
+
+    theta is a set of 0-based simple-root indices in range(n-1).  H_1 needs
+    n >= 3; H_2 needs n >= 4 and is returned as None for n == 3.
+    """
+    theta = frozenset(theta)
+    if not theta <= set(range(n - 1)):
+        raise ValueError("theta indices out of range")
+    if n < 3:
+        raise ValueError("formula out of stated range")
+    h1 = HomologyGroup(0, (2,) * (n - len(theta) - 1))
+    if n < 4:
+        return h1, None
+    runs = sum(1 for i in theta if i - 1 not in theta)  # components of theta
+    exponent = comb(n - len(theta) - 1, 2) + runs - 1
+    return h1, HomologyGroup(0, (2,) * exponent)
+
+
+def orientable_typeA(n: int, theta: frozenset[int] | set[int]) -> bool:
+    """Parity criterion on the gaps of the complement positions.
+
+    With complement positions d_1 < ... < d_k (1-based) and sentinels
+    d_0 = 0, d_{k+1} = n, the manifold is orientable iff all consecutive
+    differences share one parity.
+    """
+    theta = frozenset(theta)
+    if not theta <= set(range(n - 1)):
+        raise ValueError("theta indices out of range")
+    complement = sorted(i + 1 for i in range(n - 1) if i not in theta)
+    ds = [0, *complement, n]
+    gaps = [b - a for a, b in zip(ds, ds[1:])]
+    return len({g % 2 for g in gaps}) <= 1
+
+
+def orientable_via_topcell(system: RootSystem, theta: frozenset[int] | set[int]) -> bool:
+    """The top cell w_0 w_{0,Theta} of W^Theta has zero boundary iff kappa =
+    ht(gamma^v) is odd on each of its covers w_0 s_i w_{0,Theta}, i outside
+    Theta (x -> w_0 x w_{0,Theta} reverses the Bruhat order of W^Theta), whose
+    gamma_i = w_{0,Theta}(a_i) is the highest root with coefficient 1 at a_i and
+    0 at every other simple root outside Theta; no Weyl element is built."""
+    top: dict[int, Coeffs] = {}
+    for root in system.positive_roots:  # by height, so each gamma_i is kept last
+        outside = [(i, c) for i, c in enumerate(root) if c and i not in theta]
+        if len(outside) == 1 and outside[0][1] == 1:
+            top[outside[0][0]] = root
+    return all(system.coroot_height(gamma) % 2 for gamma in top.values())

@@ -465,7 +465,7 @@ def test_sweep_rows_bounded_up_front(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a theta was tried")
 
-    monkeypatch.setattr("flaghom.homology.orientable_via_topcell", refuse)
+    monkeypatch.setattr("flaghom.cli.orientable_via_topcell", refuse)
     start = time.monotonic()
     err = _one_line_error(capsys, ["sweep", "A", "20"], 2)
     assert time.monotonic() - start < 1
@@ -556,7 +556,7 @@ def test_inexact_macdonald_product_exits_1(capsys, monkeypatch):
 
 
 def test_orientability_disagreement_names_theta_1_based(capsys, monkeypatch):
-    monkeypatch.setattr("flaghom.homology.orientable_typeA", lambda n, theta: None)
+    monkeypatch.setattr("flaghom.cli.orientable_typeA", lambda n, theta: None)
     assert main(["orientability", "A", "3", "--theta", "1,3"]) == 1
     assert capsys.readouterr().err == (
         "flaghom: cross-check failure: orientability criteria disagree for "
@@ -565,7 +565,7 @@ def test_orientability_disagreement_names_theta_1_based(capsys, monkeypatch):
 
 
 def test_closed_form_disagreement_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("flaghom.homology.h1_h2_closed_form",
+    monkeypatch.setattr("flaghom.cli.h1_h2_closed_form",
                         lambda n, theta: (HomologyGroup(1, ()), None))
     assert main(["homology", "A", "2"]) == 1
     assert capsys.readouterr().err == (
