@@ -2,20 +2,23 @@
 
 Subcommands take a family letter and rank, with theta given either
 inclusively (--theta) or by complement (--theta-complement); indices are
-1-based on the command line.  Reports are emitted as text, JSON, or TSV with
-identical numeric content.  Exit codes: 0 success, 1 internal cross-check
-failure, 2 usage error or a job outside the computable range, 141 (128 +
-SIGPIPE, as a shell reports for coreutils) without a message when the reader
-closes stdout before the report is written.  The process entry, `run`, ends
-the process with ``os._exit`` once `main` has returned and stdout and stderr
-are flushed, so a job does not wait for the interpreter's teardown.  Under a
-trace or profile hook it exits through ``sys.exit`` instead, so the hook's
-own report at exit still runs: ``sys.settrace`` and ``sys.setprofile`` (pdb,
-``trace``, coverage's tracer, cProfile up to Python 3.11) and, from Python
-3.12 on, any ``sys.monitoring`` tool (cProfile, coverage's ``sysmon`` core).
-The report builders read `weyl`, `coeffs` and `homology`, which the package
-loads lazily, as modules when they run, so a job compiles only the modules
-its command calls.
+1-based on the command line.  `parse_job` reads the command line against the
+`COMMANDS` table in one pass, without argparse, whose import (with gettext
+and locale) and parser objects outweighed the parsing in a job's start-up;
+every usage error is one line on stderr.  Reports are emitted as text, JSON,
+or TSV with identical numeric content.  Exit codes: 0 success, 1 internal
+cross-check failure, 2 usage error or a job outside the computable range,
+141 (128 + SIGPIPE, as a shell reports for coreutils) without a message when
+the reader closes stdout before the report is written.  The process entry,
+`run`, ends the process with ``os._exit`` once `main` has returned and
+stdout and stderr are flushed, so a job does not wait for the interpreter's
+teardown.  Under a trace or profile hook it exits through ``sys.exit``
+instead, so the hook's own report at exit still runs: ``sys.settrace`` and
+``sys.setprofile`` (pdb, ``trace``, coverage's tracer, cProfile up to Python
+3.11) and, from Python 3.12 on, any ``sys.monitoring`` tool (cProfile,
+coverage's ``sysmon`` core).  The report builders read `weyl`, `coeffs` and
+`homology`, which the package loads lazily, as modules when they run, so a
+job compiles only the modules its command calls.
 
 Every report is checked before anything is written, so a cross-check
 failure prints nothing to stdout.  Rendering reads a top-level table one
@@ -31,7 +34,6 @@ fixed slices only then.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import os
@@ -44,6 +46,7 @@ from .rootsys import (
     GroupTooLargeError,
     HomologyGroup,
     Record,
+    SignIndeterminateError,
     check_rank,
     h1_h2_closed_form,
     height,
@@ -73,71 +76,107 @@ class JobSpec(Record):
         }
 
 
-def _parse_indices(text: str) -> list[int]:
-    if not text.strip():
-        return []
+_THETA = ("--theta", "--theta-complement")
+
+#: each command's help line and the options it reads besides --format
+COMMANDS = {
+    "roots": ("positive roots, heights and coroots", ()),
+    "weyl": ("Weyl group elements and canonical words", _THETA),
+    "coeffs": ("covering pairs with kappa and boundary coefficients", (*_THETA, "--max-degree")),
+    "homology": ("boundary matrices and homology groups", (*_THETA, "--max-degree", "--ring")),
+    "orientability": ("orientability by the top cell, and in type A by parity too", _THETA),
+    "sweep": ("tabulate H1/H2/orientability over all theta", ()),
+}
+
+_CHOICES = {"--ring": ("z", "z2"), "--format": ("text", "json", "tsv")}  # default first
+
+USAGE = """usage: flaghom COMMAND FAMILY RANK [--opt VALUE | --opt=VALUE ...] | flaghom --version
+
+FAMILY is A-G, RANK an integer.  Options come in any order after the command,
+by name or a unique prefix of it; a repeated option keeps its last value.
+  --format text|json|tsv      the report's format, for every command
+  --theta I,J,...             1-based simple-root indices in Theta, or
+  --theta-complement I,J,...  those of its complement (default: Theta empty)
+  --max-degree N              the highest degree computed (default 3)
+  --ring z|z2                 integral or mod-2 homology
+commands, and the options each reads besides --format:"""
+
+
+def _int(text: str, what: str) -> int:
     try:
-        return [int(x) for x in text.split(",")]
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad index list {text!r}") from None
+        raise ValueError(f"{what} must be an integer, not {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flaghom",
-        description="Cellular homology of real split flag manifolds from Cartan data.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("roots", "positive roots, heights and coroots"),
-        ("weyl", "Weyl group elements and canonical words"),
-        ("coeffs", "covering pairs with kappa and boundary coefficients"),
-        ("homology", "boundary matrices and homology groups"),
-        ("orientability", "orientability by the top cell, and in type A by parity too"),
-        ("sweep", "tabulate H1/H2/orientability over all theta"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
-        # each subcommand takes only the options it reads; the job echoes
-        # these defaults for the others (max_degree None is read as 3)
-        p.set_defaults(theta=None, theta_complement=None, max_degree=None, ring="z")
-        p.add_argument("family", choices=list("ABCDEFG"), type=str.upper)
-        p.add_argument("rank", type=int)
-        if name in ("weyl", "coeffs", "homology", "orientability"):
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--theta", type=_parse_indices,
-                               help="1-based simple-root indices in Theta")
-            group.add_argument("--theta-complement", type=_parse_indices,
-                               help="1-based indices of the complement of Theta")
-        if name in ("coeffs", "homology"):
-            p.add_argument("--max-degree", type=int)
-        if name == "homology":
-            p.add_argument("--ring", choices=["z", "z2"])
-        p.add_argument("--format", choices=["text", "json", "tsv"], default="text")
-    return parser
+def _is_option(arg: str) -> bool:
+    return arg[:1] == "-" and not arg[1:].isdigit()  # -1 is a value
 
 
-def jobspec_from_args(args: argparse.Namespace) -> JobSpec:
-    rank = args.rank
-    check_rank(args.family, rank)
-    given = args.theta_complement if args.theta is None else args.theta
-    indices = frozenset(i - 1 for i in given or ())
+def parse_job(argv: list[str]) -> JobSpec:
+    """The job that ``COMMAND FAMILY RANK [OPTION ...]`` asks for, checked in
+    the same pass.  ``-h`` or ``--help`` anywhere prints `USAGE`, and
+    ``--version`` before the command the version; both exit 0.  Anything
+    wrong raises ValueError with a one-line message."""
+    if {"-h", "--h", "--he", "--hel", "--help"}.intersection(argv):
+        print(USAGE)
+        for name, (text, options) in COMMANDS.items():
+            print(f"  {name:<14} {text}\n{'':17}{' '.join(options) or '-'}")
+        raise SystemExit(0)
+    words: list[str] = []
+    given: dict[str, str] = {}
+    args = iter(argv)
+    for arg in args:
+        if not _is_option(arg):
+            if not words and arg not in COMMANDS:
+                raise ValueError(f"unknown command {arg!r}, not one of {', '.join(COMMANDS)}")
+            words.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        known = ("--format", *COMMANDS[words[0]][1]) if words else ("--version",)
+        matches = [o for o in known if o.startswith(name) and len(name) > 2]
+        if name in matches:
+            matches = [name]
+        if len(matches) != 1:
+            raise ValueError(f"ambiguous option: {name} could match {', '.join(matches)}"
+                             if matches else f"unrecognized arguments: {arg}")
+        name = matches[0]
+        if name == "--version":
+            print(__version__)
+            raise SystemExit(0)
+        if not eq:
+            value = next(args, "-")  # "-" reads as an option: the value is missing
+            if _is_option(value):
+                raise ValueError(f"{name} expects a value")
+        given[name] = value
+    if len(words) != 3:
+        raise ValueError(f"unrecognized arguments: {' '.join(words[3:])}" if words[3:]
+                         else "expected COMMAND FAMILY RANK")
+    command, family, rank = words[0], words[1].upper(), _int(words[2], "rank")
+    check_rank(family, rank)
+    for name, choices in _CHOICES.items():
+        if given.setdefault(name, choices[0]) not in choices:
+            raise ValueError(f"{name} must be one of {', '.join(choices)}, not {given[name]!r}")
+    if "--theta" in given and "--theta-complement" in given:
+        raise ValueError("--theta and --theta-complement are mutually exclusive")
+    text = given.get("--theta", given.get("--theta-complement", ""))
+    indices = frozenset(_int(i, "a theta index") - 1 for i in text.split(",") if text.strip())
     if not indices <= set(range(rank)):
         raise ValueError("theta indices must lie in [1, rank]")
-    theta = indices if args.theta_complement is None else frozenset(range(rank)) - indices
-    if args.max_degree is not None and args.ring == "z2":
+    theta = frozenset(range(rank)) - indices if "--theta-complement" in given else indices
+    ring, limited = given["--ring"], "--max-degree" in given
+    if limited and ring == "z2":
         raise ValueError("--max-degree does not apply to --ring z2, which reports every degree")
-    max_degree = 3 if args.max_degree is None else args.max_degree
+    max_degree = _int(given.get("--max-degree", "3"), "max-degree")
     if max_degree < 0:
         raise ValueError("max-degree must be >= 0")
     # no cell lies above |Phi+|, and homology up to it reads one degree more
-    top = POSITIVE_ROOT_COUNTS[args.family](rank) + 1
-    if args.max_degree is not None and max_degree > top:
+    top = POSITIVE_ROOT_COUNTS[family](rank) + 1
+    if limited and max_degree > top:
         raise ValueError(f"max-degree must be <= {top}, the number of positive roots + 1")
-    if args.command == "homology" and args.ring == "z" and max_degree < 1:
+    if command == "homology" and ring == "z" and max_degree < 1:
         raise ValueError("homology needs --max-degree >= 1")
-    return JobSpec(args.command, args.family, rank, theta, max_degree, args.ring.upper(),
-                   args.format)
+    return JobSpec(command, family, rank, theta, max_degree, ring.upper(), given["--format"])
 
 
 # -- report builders ------------------------------------------------------
@@ -377,18 +416,18 @@ def render(report: dict, output_format: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        job = jobspec_from_args(args)
+        job = parse_job(sys.argv[1:] if argv is None else argv)
     except ValueError as exc:
-        parser.exit(2, f"flaghom: error: {exc}\n")
+        print(f"flaghom: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     try:  # a lazy report is walked, and checked, as it is rendered
         body = REPORTERS[job.command](job)
         report = {"schema_version": SCHEMA_VERSION, "job": job.as_dict(), **body}
         text = render(report, job.output_format)
-    except (GroupTooLargeError, homology.SignIndeterminateError) as exc:
-        parser.exit(2, f"flaghom: error: {exc}\n")
+    except (GroupTooLargeError, SignIndeterminateError) as exc:
+        print(f"flaghom: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     except AssertionError as exc:
         print(f"flaghom: cross-check failure: {exc}", file=sys.stderr)
         return 1

@@ -9,8 +9,9 @@ mod-2 homology is the length count of W^Theta, which `rootsys.poincare_mod2`
 takes from root heights without building W.  Orientability, read off the top
 cell's covers, and the type A closed forms need no Weyl group either and live
 in `rootsys` with the `HomologyGroup` record; `poincare_mod2` and
-`orientable_via_topcell` are re-exported here.  `coeffs` and `weyl` are read
-as modules at call time.
+`orientable_via_topcell` are re-exported here, as is `SignIndeterminateError`,
+which `rootsys` defines so that the CLI can catch it without loading this
+module.  `coeffs` and `weyl` are read as modules at call time.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ from . import coeffs, weyl
 from .rootsys import (  # noqa: F401 (re-exported)
     HomologyGroup,
     Record,
+    SignIndeterminateError,
     orientable_via_topcell,
     poincare_mod2,
 )
-
-
-class SignIndeterminateError(ValueError):
-    """A homology degree depends on boundary rows with undetermined signs."""
 
 
 class ChainComplex(Record):

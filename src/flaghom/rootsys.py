@@ -63,6 +63,10 @@ class GroupTooLargeError(ValueError):
     """Raised when a query would store more elements than the cap."""
 
 
+class SignIndeterminateError(ValueError):
+    """A homology degree depends on boundary rows with undetermined signs."""
+
+
 def height(root: Coeffs) -> int:
     """Sum of the simple-basis coefficients."""
     return sum(root)

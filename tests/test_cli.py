@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import gc
 import json
@@ -14,7 +13,7 @@ import pytest
 import flaghom.cli
 import flaghom.coeffs
 from flaghom import HomologyGroup, WeylGroup, poincare_mod2, root_system
-from flaghom.cli import build_parser, main
+from flaghom.cli import COMMANDS, main
 
 from conftest import CHILD_ENV, ORACLE_GROUPS, WEYL_GROUP_ORDERS, orientable_by_root_sum
 
@@ -267,21 +266,105 @@ def test_usage_errors_exit_2(capsys):
         assert "out of range for family" in capsys.readouterr().err
 
 
-def test_each_subcommand_takes_only_the_options_it_reads():
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = {
-        name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
-        for name, p in sub.choices.items()
-    }
-    theta = {"--theta", "--theta-complement", "--format"}
-    assert options == {
-        "roots": {"--format"},
-        "weyl": theta,
-        "coeffs": theta | {"--max-degree"},
-        "homology": theta | {"--max-degree", "--ring"},
-        "orientability": theta,
-        "sweep": {"--format"},
-    }
+#: the options each command takes besides --format, as the README's table lists them
+README_OPTIONS = {
+    "roots": set(),
+    "weyl": {"--theta", "--theta-complement"},
+    "coeffs": {"--theta", "--theta-complement", "--max-degree"},
+    "homology": {"--theta", "--theta-complement", "--max-degree", "--ring"},
+    "orientability": {"--theta", "--theta-complement"},
+    "sweep": set(),
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads(capsys):
+    """An option is accepted where the README lists it, and refused with
+    "unrecognized arguments" elsewhere; `--format` goes with every command."""
+    for command, options in README_OPTIONS.items():
+        for option, value in [("--theta", "1"), ("--theta-complement", "1"),
+                              ("--max-degree", "2"), ("--ring", "z"), ("--format", "json")]:
+            argv = [command, "A", "2", option, value]
+            if option == "--format" or option in options:
+                assert main(argv) == 0
+                assert capsys.readouterr().err == ""
+            else:
+                err = _one_line_error(capsys, argv, 2)
+                assert err == f"flaghom: error: unrecognized arguments: {option}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "expected COMMAND FAMILY RANK"),
+    (["roots", "A"], "expected COMMAND FAMILY RANK"),
+    (["nonsense"], "unknown command 'nonsense', not one of "
+                   "roots, weyl, coeffs, homology, orientability, sweep"),
+    (["roots", "X", "2"], "unknown family 'X'"),
+    (["roots", "AB", "2"], "unknown family 'AB'"),
+    (["roots", "A", "two"], "rank must be an integer, not 'two'"),
+    (["roots", "A", "2", "3"], "unrecognized arguments: 3"),
+    (["homology", "A", "3", "--theta"], "--theta expects a value"),
+    (["homology", "A", "3", "--max-degree", "--ring", "z"], "--max-degree expects a value"),
+    (["homology", "A", "3", "--max-degree", "x"], "max-degree must be an integer, not 'x'"),
+    (["homology", "A", "3", "--theta", "1,x"], "a theta index must be an integer, not 'x'"),
+    (["homology", "A", "3", "--ring", "Z"], "--ring must be one of z, z2, not 'Z'"),
+    (["roots", "A", "2", "--format", "yaml"], "--format must be one of text, json, tsv, not 'yaml'"),
+    (["homology", "A", "3", "--theta", "1", "--theta-complement", "2"],
+     "--theta and --theta-complement are mutually exclusive"),
+    (["homology", "A", "3", "--th", "1"],
+     "ambiguous option: --th could match --theta, --theta-complement"),
+    (["sweep", "A", "3", "--theta", "1"], "unrecognized arguments: --theta"),
+    (["roots", "A", "2", "-x"], "unrecognized arguments: -x"),
+    (["--format", "json", "roots", "A", "2"], "unrecognized arguments: --format"),
+    (["roots", "A", "2", "--version"], "unrecognized arguments: --version"),
+])
+def test_every_usage_error_is_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"flaghom: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--he"], ["homology", "-h"], ["sweep", "A", "3", "--help"],
+    ["nonsense", "-h"], ["homology", "A", "3", "--theta", "--help"],
+])
+def test_help_anywhere_names_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: flaghom COMMAND FAMILY RANK")
+    assert all(f"\n  {name} " in out for name in COMMANDS)
+
+
+@pytest.mark.parametrize("argv", ["--version", "--vers"])
+def test_version_before_the_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == ("0.1.0\n", "")
+
+
+@pytest.mark.parametrize("job", [
+    "homology a 4 --theta=2,3 --max-degree=2 --format=json",
+    "homology A 4 --theta 2,3 --max 2 --r z --form json",
+    "homology A 4 --theta-c 1,4 --max-degree 2 --format json",
+    "homology --format json A --theta 2,3 4 --max-degree 2",
+    "homology A 4 --theta 1 --theta 2,3 --max-degree 9 --max-degree 2 --format tsv --format json",
+])
+def test_option_spellings_give_the_same_report(capsys, job):
+    """The `=` form, unique prefixes, a lowercase family, options before and
+    between the positionals, and a repeated option (the last wins) all read
+    as the spelled-out job."""
+    _, expected = run_cli(capsys, *"homology A 4 --theta 2,3 --max-degree 2 --format json".split())
+    assert run_cli(capsys, *job.split()) == (0, expected)
+
+
+def test_negative_values_are_values(capsys):
+    for argv, message in [(["homology", "A", "3", "--max-degree", "-1"], "max-degree must be >= 0"),
+                          (["roots", "A", "-1"], "rank -1 out of range for family A")]:
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert capsys.readouterr().err == f"flaghom: error: {message}\n"
 
 
 @pytest.mark.parametrize(
