@@ -3,9 +3,9 @@
 Subcommands take a family letter and rank, with theta given either
 inclusively (--theta) or by complement (--theta-complement); indices are
 1-based on the command line.  `parse_job` reads the command line against the
-`COMMANDS` table in one pass, without argparse, whose import (with gettext
-and locale) and parser objects outweighed the parsing in a job's start-up;
-every usage error is one line on stderr.  Reports are emitted as text, JSON,
+`COMMANDS` table in one pass, with no parser library, whose import and
+parser objects would outweigh the parsing in a job's start-up; every usage
+error is one line on stderr.  Reports are emitted as text, JSON,
 or TSV with identical numeric content.  Exit codes: 0 success, 1 internal
 cross-check failure, 2 usage error or a job outside the computable range,
 141 (128 + SIGPIPE, as a shell reports for coreutils) without a message when
@@ -159,8 +159,8 @@ def parse_job(argv: list[str]) -> JobSpec:
             raise ValueError(f"{name} must be one of {', '.join(choices)}, not {given[name]!r}")
     if "--theta" in given and "--theta-complement" in given:
         raise ValueError("--theta and --theta-complement are mutually exclusive")
-    text = given.get("--theta", given.get("--theta-complement", ""))
-    indices = frozenset(_int(i, "a theta index") - 1 for i in text.split(",") if text.strip())
+    listed = given.get("--theta", given.get("--theta-complement", ""))
+    indices = frozenset(_int(i, "a theta index") - 1 for i in listed.split(",") if listed.strip())
     if not indices <= set(range(rank)):
         raise ValueError("theta indices must lie in [1, rank]")
     theta = frozenset(range(rank)) - indices if "--theta-complement" in given else indices

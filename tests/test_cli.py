@@ -315,6 +315,9 @@ def test_each_subcommand_takes_only_the_options_it_reads(capsys):
     (["roots", "A", "2", "-x"], "unrecognized arguments: -x"),
     (["--format", "json", "roots", "A", "2"], "unrecognized arguments: --format"),
     (["roots", "A", "2", "--version"], "unrecognized arguments: --version"),
+    # a negative number is a value, not an option
+    (["homology", "A", "3", "--max-degree", "-1"], "max-degree must be >= 0"),
+    (["roots", "A", "-1"], "rank -1 out of range for family A"),
 ])
 def test_every_usage_error_is_one_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -357,14 +360,6 @@ def test_option_spellings_give_the_same_report(capsys, job):
     as the spelled-out job."""
     _, expected = run_cli(capsys, *"homology A 4 --theta 2,3 --max-degree 2 --format json".split())
     assert run_cli(capsys, *job.split()) == (0, expected)
-
-
-def test_negative_values_are_values(capsys):
-    for argv, message in [(["homology", "A", "3", "--max-degree", "-1"], "max-degree must be >= 0"),
-                          (["roots", "A", "-1"], "rank -1 out of range for family A")]:
-        with pytest.raises(SystemExit):
-            main(argv)
-        assert capsys.readouterr().err == f"flaghom: error: {message}\n"
 
 
 @pytest.mark.parametrize(
