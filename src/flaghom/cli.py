@@ -1,35 +1,11 @@
 """Command-line front end.
 
-Subcommands take a family letter and rank, with theta given either
-inclusively (--theta) or by complement (--theta-complement); indices are
-1-based on the command line.  `parse_job` reads the command line against the
-`COMMANDS` table in one pass, with no parser library, whose import and
-parser objects would outweigh the parsing in a job's start-up; every usage
-error is one line on stderr.  Reports are emitted as text, JSON,
-or TSV with identical numeric content.  Exit codes: 0 success, 1 internal
-cross-check failure, 2 usage error or a job outside the computable range,
-141 (128 + SIGPIPE, as a shell reports for coreutils) without a message when
-the reader closes stdout before the report is written.  The process entry,
-`run`, ends the process with ``os._exit`` once `main` has returned and
-stdout and stderr are flushed, so a job does not wait for the interpreter's
-teardown.  Under a trace or profile hook it exits through ``sys.exit``
-instead, so the hook's own report at exit still runs: ``sys.settrace`` and
-``sys.setprofile`` (pdb, ``trace``, coverage's tracer, cProfile up to Python
-3.11) and, from Python 3.12 on, any ``sys.monitoring`` tool (cProfile,
-coverage's ``sysmon`` core).  The report builders read `weyl`, `coeffs` and
-`homology`, which the package loads lazily, as modules when they run, so a
-job compiles only the modules its command calls.
-
-Every report is checked before anything is written, so a cross-check
-failure prints nothing to stdout.  Rendering reads a top-level table one
-row at a time; JSON is encoded one top-level value, and one such row, at a
-time into the same bytes as ``json.dumps(report, sort_keys=True)``, and each
-batch of encoded rows is joined into one piece, so a large report is held as
-a few large pieces rather than a small string per row.  `report_coeffs`
-hands `render` a lazy ``map`` over the walk of W^Theta, which builds, and so
-checks, each pair's kappa report and then its row's dict as the row is
-encoded; `render` returns the whole text, and `main` writes it to stdout in
-fixed slices only then.
+Exit codes: 0 success, 1 internal cross-check failure, 2 usage error or a job
+outside the computable range, 141 (128 + SIGPIPE) without a message when the
+reader closes stdout first.  Every report is checked before its first byte is
+written.  The `report_*` functions read `weyl`, `coeffs` and `homology`,
+which the package loads lazily, as modules when they run, so a job compiles
+only the modules its command calls.
 """
 
 from __future__ import annotations
@@ -41,13 +17,13 @@ import sys
 
 from . import __version__, coeffs, homology, weyl
 from .rootsys import (
-    DEFAULT_SIZE_CAP,
     POSITIVE_ROOT_COUNTS,
     GroupTooLargeError,
     HomologyGroup,
     Record,
     SignIndeterminateError,
     check_rank,
+    check_size,
     h1_h2_closed_form,
     height,
     orientable_typeA,
@@ -229,7 +205,7 @@ def _pair_out(rep: coeffs.KappaReport) -> dict:
         "I": pair.deleted_index,
         "beta": list(pair.beta),
         "gamma": list(pair.gamma),
-        "kappa": rep.kappa,
+        "kappa": rep.kappa_height,
         "kappa_routes": {
             "height": rep.kappa_height,
             "sigma": rep.kappa_sigma,
@@ -262,10 +238,7 @@ def report_homology(job: JobSpec) -> dict:
     group = weyl.WeylGroup(system)
     complex_ = homology.build_complex(group, job.theta, job.max_degree)
     groups = homology.homology_groups(complex_, job.max_degree - 1)
-    closed: dict[str, HomologyGroup] = {}
-    if job.family == "A" and job.rank >= 2:
-        h1, h2 = h1_h2_closed_form(job.rank + 1, job.theta)
-        closed = {key: h for key, h in (("H1", h1), ("H2", h2)) if h is not None}
+    closed = h1_h2_closed_form(job.rank + 1, job.theta) if job.family == "A" else {}
     for k, want in enumerate(closed.values(), start=1):
         if k < job.max_degree and groups[k] != want:
             got, want = _group_out(groups[k]), _group_out(want)
@@ -302,11 +275,7 @@ def report_orientability(job: JobSpec) -> dict:
 
 
 def report_sweep(job: JobSpec) -> dict:
-    if 2**job.rank > DEFAULT_SIZE_CAP:
-        raise GroupTooLargeError(
-            f"sweep too large: 2^{job.rank} = {2**job.rank} theta rows, "
-            f"more than {DEFAULT_SIZE_CAP}"
-        )
+    check_size(2**job.rank, "theta rows")
     system = root_system(job.family, job.rank)
     n = job.rank + 1
     rows = []
@@ -319,11 +288,8 @@ def report_sweep(job: JobSpec) -> dict:
             }
             if job.family == "A":
                 _orientable_typeA_checked(n, theta, row["orientable"])
-                if n >= 3:
-                    h1, h2 = h1_h2_closed_form(n, theta)
-                    row["h1_torsion_rank"] = len(h1.torsion)
-                    if h2 is not None:
-                        row["h2_torsion_rank"] = len(h2.torsion)
+                for key, h in h1_h2_closed_form(n, theta).items():
+                    row[f"{key.lower()}_torsion_rank"] = len(h.torsion)
             else:
                 row["mod2_betti"] = poincare_mod2(system, theta)
             rows.append(row)

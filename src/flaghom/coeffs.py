@@ -79,10 +79,6 @@ class KappaReport(Record):
     __slots__ = ("pair", "kappa_height", "kappa_sigma", "kappa_phi", "kappa_typeA",
                  "magnitude", "sign")
 
-    @property
-    def kappa(self) -> int:
-        return self.kappa_height
-
 
 def _magnitude_and_sign(pair: CoveringPair, kappa: int) -> tuple[int, int | None]:
     """Magnitude 0 or 2 from kappa's parity.  A sign is emitted only when the

@@ -87,8 +87,9 @@ def _assert_d_squared_zero(complex_: ChainComplex) -> None:
                     raise AssertionError(f"boundary of boundary is nonzero in degree {k}")
 
 
-def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], int]:
-    """Invariant factors (d_1 | d_2 | ...) and rank of an integer matrix.
+def smith_normal_form(matrix: list[list[int]]) -> list[int]:
+    """Invariant factors (d_1 | d_2 | ...) of an integer matrix; their number
+    is its rank.
 
     Each pass clears the row and column of a smallest nonzero entry p by
     division with remainder; a remainder left is the next, smaller pivot.
@@ -119,7 +120,7 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], int]:
         del a[pi]
         for row in a:
             del row[pj]
-    return factors, len(factors)
+    return factors
 
 
 def homology_groups(complex_: ChainComplex, up_to_degree: int) -> list[HomologyGroup]:
@@ -143,7 +144,8 @@ def homology_groups(complex_: ChainComplex, up_to_degree: int) -> list[HomologyG
                 f"cannot compute H_{k}: degree {k} has sign-indeterminate rows"
             )
         n_k = len(complex_.cells[k])
-        factors_k1, rank_k1 = smith_normal_form(complex_.boundaries[k + 1])
+        factors_k1 = smith_normal_form(complex_.boundaries[k + 1])
+        rank_k1 = len(factors_k1)
         if k + 1 in complex_.indeterminate_rows:
             kernel_rank = n_k - rank_k
             if factors_k1 != [2] * kernel_rank:

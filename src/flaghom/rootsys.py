@@ -1,24 +1,10 @@
 """Finite reduced root systems from Cartan data, with exact integer arithmetic.
 
-Roots are plain integer coefficient tuples over the simple basis.  Simple
-roots are indexed 0..rank-1 throughout the library.  One reflection closure
-over the nonzero Cartan entries finds the positive roots and carries each
-one's coroot along, since s_i(b)^v = s_i(b^v), and the row <a_j, b^v> of its
-pairings with the simple roots; no invariant form is needed.  Both are
-tabulated once when the system is built, as is ``roots``: every root, positive
-or negative, to the one tuple that Weyl elements and covers store for it.
-
-The answers that need no Weyl group live here too: `poincare_mod2` counts
-W^Theta by length from the root heights alone, `orientable_via_topcell` reads
-orientability off the top cell's covers in the root system, and the type A
-closed forms (`h1_h2_closed_form`, `orientable_typeA`) need no root system at
-all.  So `roots`, `orientability`, `sweep` and `homology --ring z2` load no
-module of the package beyond this one and `cli`; every other module is
-compiled only by the jobs that build W.
-
-`CartanData`, `RootSystem` and the package's other values are `Record`s:
-plain ``__slots__`` classes with read-only fields set by position, so no class
-body generates code and each CLI job's fresh interpreter imports little.
+Roots are integer coefficient tuples over the simple basis; simple roots, and
+so theta's indices, are 0-based throughout the library.  The answers that need
+no Weyl group live here, as do the input checks (`check_rank`, `check_theta`,
+`check_size`) and the errors the CLI catches, so `roots`, `orientability`,
+`sweep` and `homology --ring z2` compile no other module of the package.
 """
 
 from __future__ import annotations
@@ -87,6 +73,20 @@ def check_rank(family: str, rank: int) -> None:
     lo, hi = RANK_BOUNDS[family]
     if not lo <= rank <= hi:
         raise ValueError(f"rank {rank} out of range for family {family}")
+
+
+def check_theta(theta: frozenset[int] | set[int], rank: int) -> frozenset[int]:
+    """theta as a frozenset, refused unless its indices lie in range(rank)."""
+    theta = frozenset(theta)
+    if not theta <= set(range(rank)):
+        raise ValueError("theta indices out of range")
+    return theta
+
+
+def check_size(size: int, what: str) -> None:
+    """Refuse to store ``size`` items (``what`` names them) above `DEFAULT_SIZE_CAP`."""
+    if size > DEFAULT_SIZE_CAP:
+        raise GroupTooLargeError(f"too large: {size} {what}, more than {DEFAULT_SIZE_CAP}")
 
 
 class Record:
@@ -282,7 +282,7 @@ def poincare_mod2(system: RootSystem, theta: frozenset[int] | set[int]) -> list[
     positive roots b outside Theta's subsystem, telescoped by height into one
     net power of each [k]_q and divided exactly.
     """
-    theta = frozenset(theta)
+    theta = check_theta(theta, system.rank)
     by_height = [0] * (len(system.positive_roots) + 2)
     for root in system.positive_roots:
         if any(c for i, c in enumerate(root) if i not in theta):
@@ -319,25 +319,18 @@ class HomologyGroup(Record):
     __slots__ = ("free_rank", "torsion")
 
 
-def h1_h2_closed_form(
-    n: int, theta: frozenset[int] | set[int]
-) -> tuple[HomologyGroup, HomologyGroup | None]:
-    """Closed-form H_1 and H_2 of the type A_{n-1} partial flag manifold.
-
-    theta is a set of 0-based simple-root indices in range(n-1).  H_1 needs
-    n >= 3; H_2 needs n >= 4 and is returned as None for n == 3.
-    """
-    theta = frozenset(theta)
-    if not theta <= set(range(n - 1)):
-        raise ValueError("theta indices out of range")
-    if n < 3:
-        raise ValueError("formula out of stated range")
-    h1 = HomologyGroup(0, (2,) * (n - len(theta) - 1))
-    if n < 4:
-        return h1, None
-    runs = sum(1 for i in theta if i - 1 not in theta)  # components of theta
-    exponent = comb(n - len(theta) - 1, 2) + runs - 1
-    return h1, HomologyGroup(0, (2,) * exponent)
+def h1_h2_closed_form(n: int, theta: frozenset[int] | set[int]) -> dict[str, HomologyGroup]:
+    """Closed-form H_1 and H_2 of the type A_{n-1} partial flag manifold, for
+    theta a set of 0-based simple-root indices in range(n-1): {"H1": ...} from
+    n = 3 on, with "H2" from n = 4 on, where the formulas hold; {} below."""
+    theta = check_theta(theta, n - 1)
+    closed = {}
+    if n >= 3:
+        closed["H1"] = HomologyGroup(0, (2,) * (n - len(theta) - 1))
+    if n >= 4:
+        runs = sum(1 for i in theta if i - 1 not in theta)  # components of theta
+        closed["H2"] = HomologyGroup(0, (2,) * (comb(n - len(theta) - 1, 2) + runs - 1))
+    return closed
 
 
 def orientable_typeA(n: int, theta: frozenset[int] | set[int]) -> bool:
@@ -347,9 +340,7 @@ def orientable_typeA(n: int, theta: frozenset[int] | set[int]) -> bool:
     d_0 = 0, d_{k+1} = n, the manifold is orientable iff all consecutive
     differences share one parity.
     """
-    theta = frozenset(theta)
-    if not theta <= set(range(n - 1)):
-        raise ValueError("theta indices out of range")
+    theta = check_theta(theta, n - 1)
     complement = sorted(i + 1 for i in range(n - 1) if i not in theta)
     ds = [0, *complement, n]
     gaps = [b - a for a, b in zip(ds, ds[1:])]
@@ -362,6 +353,7 @@ def orientable_via_topcell(system: RootSystem, theta: frozenset[int] | set[int])
     Theta (x -> w_0 x w_{0,Theta} reverses the Bruhat order of W^Theta), whose
     gamma_i = w_{0,Theta}(a_i) is the highest root with coefficient 1 at a_i and
     0 at every other simple root outside Theta; no Weyl element is built."""
+    theta = check_theta(theta, system.rank)
     top: dict[int, Coeffs] = {}
     for root in system.positive_roots:  # by height, so each gamma_i is kept last
         outside = [(i, c) for i, c in enumerate(root) if c and i not in theta]

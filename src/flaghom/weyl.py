@@ -19,13 +19,10 @@ rule, memoised in one dict ``by_matrix``.  W^Theta up to a length, the cells
 of F_Theta, is one walk up the left weak order, whose steps stay in W^Theta
 by Deodhar's lemma; it takes the step s_j*u only when j is the new element's
 smallest left descent, so it makes each element once, from its tail.
-Macdonald's count (`rootsys.poincare_mod2`) refuses a walk above
-``DEFAULT_SIZE_CAP`` before it builds anything and must equal its level
-sizes after; `_step` checks the cap as it stores each element too.  The cap
-and `GroupTooLargeError` are defined in `rootsys`, so that the CLI can refuse
-a job without loading this module; the walk reads this module's own name
-for the cap.  A root is positive iff the root system's table of positive
-roots holds it.
+Macdonald's count (`rootsys.poincare_mod2`) refuses a walk above the size
+cap (`rootsys.check_size`) before it builds anything and must equal its level
+sizes after; `_step` checks the cap as it stores each element too.  A root is
+positive iff the root system's table of positive roots holds it.
 
 The Bruhat covers of w = s_j*u, u its ``tail``, are lifted from u's: deleting
 letter 1 gives u, and letter I + 1 gives s_j*v for each cover v of u at letter
@@ -43,22 +40,17 @@ from collections.abc import Iterator
 from itertools import groupby
 
 from .rootsys import (
-    DEFAULT_SIZE_CAP,
     Coeffs,
-    GroupTooLargeError,
     Record,
     RootSystem,
+    check_size,
+    check_theta,
     nonzero_rows,
     poincare_mod2,
     simple_root,
 )
 
 Matrix = tuple[Coeffs, ...]  # columns: images of the simple roots
-
-
-def _check_size(size: int) -> None:
-    if size > DEFAULT_SIZE_CAP:
-        raise GroupTooLargeError(f"group too large: more than {DEFAULT_SIZE_CAP} elements")
 
 
 class WeylElement(Record):
@@ -105,9 +97,9 @@ class WeylGroup:
         # support of row i of C: the columns that w*s_i changes, and the
         # coordinates that the pairing with a_i's coroot reads
         self._moved = nonzero_rows(system.cartan.cartan_matrix)
-        self._identity_matrix: Matrix = tuple(system.roots[simple_root(n, i)] for i in range(n))
-        identity = WeylElement((), self._identity_matrix, self._identity_matrix, None, (0,) * n)
-        self.by_matrix: dict[Matrix, WeylElement] = {identity.matrix: identity}
+        matrix: Matrix = tuple(system.roots[simple_root(n, i)] for i in range(n))
+        self.identity = WeylElement((), matrix, matrix, None, (0,) * n)
+        self.by_matrix: dict[Matrix, WeylElement] = {matrix: self.identity}
 
     @property
     def elements(self):
@@ -146,14 +138,10 @@ class WeylGroup:
             w = WeylElement((i,) + tail.word, matrix, inverse, tail,
                             phi[:i] + (phi_i,) + phi[i + 1 :])
             self.by_matrix[matrix] = w
-            _check_size(len(self.by_matrix))
+            check_size(len(self.by_matrix), "elements")
         return w
 
     # -- queries ----------------------------------------------------------
-
-    @property
-    def identity(self) -> WeylElement:
-        return self.by_matrix[self._identity_matrix]
 
     def bruhat_covers(
         self, w: WeylElement, theta: frozenset[int] | set[int], below: list[CoveringPair]
@@ -172,7 +160,7 @@ class WeylGroup:
         j, roots, pairings = w.word[0], self.system.roots, self.system.coroot_pairings
         positive = self.system.coroot_coeffs
         gamma_1 = w.tail.inverse_matrix[j]
-        candidates = [(1, self._identity_matrix[j], gamma_1)]
+        candidates = [(1, self.identity.matrix[j], gamma_1)]
         for p in below:
             if sum(gamma_1) > sum(x * c for x, c in zip(gamma_1, pairings[p.gamma])) * sum(p.gamma):
                 b = p.beta  # s_j(b) moves entry j by b's pairing with a_j's coroot
@@ -225,11 +213,11 @@ class WeylGroup:
         order.  Macdonald's count refuses a walk above the size cap before
         anything is built, and must equal the size of every level the walk finds.
         """
-        theta = self._checked_theta(theta)
+        theta = check_theta(theta, self.system.rank)
         if max_length is not None and max_length < 0:
             raise ValueError("max_length must be >= 0")
         counts = poincare_mod2(self.system, theta)[: None if max_length is None else max_length + 1]
-        _check_size(sum(counts))
+        check_size(sum(counts), "elements")
         positive, rank = self.system.coroot_coeffs, self.system.rank
         # columns k < i of v^{-1}*s_i: v^{-1}'s own where C[i][k] = 0 (kept), else moved
         moved = [[k for k, _ in self._moved[i] if k < i] for i in range(rank)]
@@ -258,14 +246,8 @@ class WeylGroup:
         """For w in W^Theta: is s_i*w one longer and in W^Theta?  It is longer
         iff w^{-1}(a_i) > 0, and it then leaves W^Theta iff w sends some simple
         root of Theta to a_i (Deodhar's lemma)."""
-        a_i = self._identity_matrix[i]
+        a_i = self.identity.matrix[i]
         return inverse[i] in self.system.coroot_coeffs and all(matrix[k] != a_i for k in theta)
-
-    def _checked_theta(self, theta: frozenset[int] | set[int]) -> frozenset[int]:
-        theta = frozenset(theta)
-        if not theta <= set(range(self.system.rank)):
-            raise ValueError("theta indices out of range")
-        return theta
 
 
 # -- type A one-line combinatorics ---------------------------------------

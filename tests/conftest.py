@@ -6,7 +6,7 @@ from math import factorial, gcd, lcm
 from pathlib import Path
 
 from flaghom import WeylGroup, root_system
-from flaghom.rootsys import negate
+from flaghom.rootsys import check_theta, negate
 from flaghom.weyl import CoveringPair, _named
 
 #: oracle data: the order of the Weyl group per family, as a function of the rank
@@ -110,8 +110,8 @@ def top_cell(group, theta):
     so a walk from e that takes any step `_steps_up` allows can only stop
     at its top.
     """
-    theta = group._checked_theta(theta)
-    matrix = inverse = group._identity_matrix
+    theta = check_theta(theta, group.system.rank)
+    matrix = inverse = group.identity.matrix
     i = 0
     while i < group.system.rank:
         if group._steps_up(matrix, inverse, i, theta):

@@ -452,9 +452,13 @@ def test_homology_g2_to_the_top_cell(capsys):
 
 
 def test_group_too_large_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr("flaghom.weyl.DEFAULT_SIZE_CAP", 50)
+    """`rootsys.DEFAULT_SIZE_CAP` is the one setting of the cap: it bounds the
+    elements a Weyl group query stores and the theta rows a sweep tabulates."""
+    monkeypatch.setattr("flaghom.rootsys.DEFAULT_SIZE_CAP", 50)
     err = _one_line_error(capsys, ["weyl", "A", "4"], 2)
-    assert err == "flaghom: error: group too large: more than 50 elements\n"
+    assert err == "flaghom: error: too large: 120 elements, more than 50\n"
+    err = _one_line_error(capsys, ["sweep", "A", "6"], 2)
+    assert err == "flaghom: error: too large: 64 theta rows, more than 50\n"
 
 
 @pytest.mark.parametrize("command", ["weyl"])
@@ -464,7 +468,7 @@ def test_e7_refused_before_enumeration(capsys, monkeypatch, command):
 
     monkeypatch.setattr(WeylGroup, "_right_mult", refuse)
     err = _one_line_error(capsys, [command, "E", "7"], 2)
-    assert err == "flaghom: error: group too large: more than 1000000 elements\n"
+    assert err == "flaghom: error: too large: 2903040 elements, more than 1000000\n"
 
 
 def test_weyl_order_is_macdonalds_count(capsys, monkeypatch):
@@ -492,7 +496,7 @@ def test_weyl_e7_partial_flag_answers(capsys):
     assert report["order"] == 2903040
     assert len(report["cells"]) == 56 and report["cells"][-1]["length"] == 27
     err = _one_line_error(capsys, ["weyl", "E", "7"], 2)
-    assert err == "flaghom: error: group too large: more than 1000000 elements\n"
+    assert err == "flaghom: error: too large: 2903040 elements, more than 1000000\n"
 
 
 def test_e8_query_refused_before_building(capsys, monkeypatch):
@@ -502,7 +506,7 @@ def test_e8_query_refused_before_building(capsys, monkeypatch):
     monkeypatch.setattr(WeylGroup, "_step", refuse)
     monkeypatch.setattr(WeylGroup, "_left_mult", refuse)
     err = _one_line_error(capsys, ["coeffs", "E", "8", "--max-degree", "19"], 2)
-    assert err == "flaghom: error: group too large: more than 1000000 elements\n"
+    assert err == "flaghom: error: too large: 1080949 elements, more than 1000000\n"
 
 
 def test_e7_partial_flag_to_the_top_cell(capsys):
@@ -547,9 +551,7 @@ def test_sweep_rows_bounded_up_front(capsys, monkeypatch):
     start = time.monotonic()
     err = _one_line_error(capsys, ["sweep", "A", "20"], 2)
     assert time.monotonic() - start < 1
-    assert err == (
-        "flaghom: error: sweep too large: 2^20 = 1048576 theta rows, more than 1000000\n"
-    )
+    assert err == "flaghom: error: too large: 1048576 theta rows, more than 1000000\n"
     monkeypatch.undo()
     code, out = run_cli(capsys, "sweep", "E", "8", "--format", "json")
     assert code == 0
@@ -644,7 +646,7 @@ def test_orientability_disagreement_names_theta_1_based(capsys, monkeypatch):
 
 def test_closed_form_disagreement_exits_1(capsys, monkeypatch):
     monkeypatch.setattr("flaghom.cli.h1_h2_closed_form",
-                        lambda n, theta: (HomologyGroup(1, ()), None))
+                        lambda n, theta: {"H1": HomologyGroup(1, ())})
     assert main(["homology", "A", "2"]) == 1
     assert capsys.readouterr().err == (
         "flaghom: cross-check failure: H1 mismatch: complex "

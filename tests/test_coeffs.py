@@ -241,7 +241,7 @@ def test_report_consistency():
     for pair in all_pairs(g, max_length=3):
         rep = kappa_report(g, pair)
         assert rep.kappa_height == rep.kappa_sigma == rep.kappa_phi
-        assert rep.magnitude == abs(1 + (-1) ** rep.kappa)
+        assert rep.magnitude == abs(1 + (-1) ** rep.kappa_height)
         if rep.sign is not None:
             assert rep.magnitude == 2
 

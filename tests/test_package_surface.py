@@ -36,6 +36,22 @@ def test_every_export_is_read_by_another_definition():
     assert sorted(set(flaghom.__all__) - read) == []
 
 
+def test_only_rootsys_binds_the_size_cap():
+    """The size cap is one setting, `rootsys.DEFAULT_SIZE_CAP`: no other
+    module imports or assigns a name of its own for it."""
+    binders = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            else:
+                continue
+            if "DEFAULT_SIZE_CAP" in names:
+                binders.add(path.name)
+    assert binders == {"rootsys.py"}
+
 
 def test_no_assert_statement_in_the_package():
     """``python -O`` strips assert statements, so every check in the package

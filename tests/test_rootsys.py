@@ -5,7 +5,17 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
-from flaghom import CartanData, build_root_system, height, root_system
+from flaghom import (
+    CartanData,
+    WeylGroup,
+    build_root_system,
+    h1_h2_closed_form,
+    height,
+    orientable_typeA,
+    orientable_via_topcell,
+    poincare_mod2,
+    root_system,
+)
 from flaghom.rootsys import RANK_BOUNDS, NotFiniteTypeError, negate, simple_root
 
 from conftest import (bilinear, conjugated_root, coroot_by_form, is_positive, p_sum, reflect,
@@ -277,3 +287,23 @@ def test_height_highest_roots():
         s = root_system("A", n)
         assert max(height(r) for r in s.positive_roots) == n
     assert max(height(r) for r in root_system("G", 2).positive_roots) == 5
+
+
+#: each function that checks theta itself, on A3 (rank 3, n = 4)
+THETA_TAKERS = {
+    "poincare_mod2": lambda theta: poincare_mod2(root_system("A", 3), theta),
+    "orientable_via_topcell": lambda theta: orientable_via_topcell(root_system("A", 3), theta),
+    "h1_h2_closed_form": lambda theta: h1_h2_closed_form(4, theta),
+    "orientable_typeA": lambda theta: orientable_typeA(4, theta),
+    "minimal_representatives":
+        lambda theta: WeylGroup(root_system("A", 3)).minimal_representatives(theta),
+}
+
+
+@pytest.mark.parametrize("theta", [{3}, {-1}], ids=["rank", "minus-one"])
+@pytest.mark.parametrize("name", THETA_TAKERS)
+def test_out_of_range_theta_is_refused(name, theta):
+    """theta's 0-based indices must lie in range(rank); an index at rank or
+    below 0 is refused, not read as another simple root or ignored."""
+    with pytest.raises(ValueError, match="^theta indices out of range$"):
+        THETA_TAKERS[name](theta)

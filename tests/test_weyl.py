@@ -4,8 +4,8 @@ from functools import reduce
 import pytest
 
 from flaghom import WeylGroup, covers_oracle_typeA, one_line, orientable_via_topcell, root_system
-from flaghom.rootsys import RootSystem, simple_root
-from flaghom.weyl import CoveringPair, GroupTooLargeError
+from flaghom.rootsys import GroupTooLargeError, RootSystem, simple_root
+from flaghom.weyl import CoveringPair
 
 from conftest import (
     ORACLE_GROUPS,
@@ -62,21 +62,21 @@ def test_group_order_matches_factorial():
 
 def test_size_cap(monkeypatch):
     g = WeylGroup(root_system("A", 4))
-    monkeypatch.setattr("flaghom.weyl.DEFAULT_SIZE_CAP", 50)
-    with pytest.raises(GroupTooLargeError, match="group too large"):
+    monkeypatch.setattr("flaghom.rootsys.DEFAULT_SIZE_CAP", 50)
+    with pytest.raises(GroupTooLargeError, match="^too large: 120 elements, more than 50$"):
         g.minimal_representatives(frozenset())
     # a truncated query is refused by its count, before it builds anything:
     # 1 + 4 + 9 > 10
-    monkeypatch.setattr("flaghom.weyl.DEFAULT_SIZE_CAP", 10)
-    with pytest.raises(GroupTooLargeError, match="more than 10 elements"):
+    monkeypatch.setattr("flaghom.rootsys.DEFAULT_SIZE_CAP", 10)
+    with pytest.raises(GroupTooLargeError, match="^too large: 14 elements, more than 10$"):
         g.minimal_representatives(frozenset(), 2)
     assert list(g.by_matrix) == [g.identity.matrix]
     # ... while RP^4's cells up to length 2 fit, and are all it builds
     assert len(g.minimal_representatives({1, 2, 3}, 2)) == len(g.by_matrix) == 3
     # elements built on demand count against the cap as they are stored
-    monkeypatch.setattr("flaghom.weyl.DEFAULT_SIZE_CAP", 5)
+    monkeypatch.setattr("flaghom.rootsys.DEFAULT_SIZE_CAP", 5)
     g = WeylGroup(root_system("A", 4))
-    with pytest.raises(GroupTooLargeError, match="more than 5 elements"):
+    with pytest.raises(GroupTooLargeError, match="^too large: 6 elements, more than 5$"):
         element_from_word(g, (0, 1, 2, 3, 0, 1))
 
 
