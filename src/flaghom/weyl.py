@@ -24,11 +24,17 @@ cap (`rootsys.check_size`) before it builds anything and must equal its level
 sizes after; `_step` checks the cap as it stores each element too.  A root is
 positive iff the root system's table of positive roots holds it.
 
+Each product is a table lookup per column (Casselman): a group keeps one
+`Reflection` table per reflection, s_i built from row i of the Cartan matrix
+and s_b, for b positive, from b's coroot pairings, each entry made on its first
+lookup.  s_i*w reflects w's columns by s_i, and w*s_i = s_gamma*w, gamma =
++-w(a_i), by s_gamma.
+
 The Bruhat covers of w = s_j*u, u its ``tail``, are lifted from u's: deleting
 letter 1 gives u, and letter I + 1 gives s_j*v for each cover v of u at letter
-I that a height read off the coroot pairings shows reduced.  `cells_with_covers`
-walks W^Theta once, lifting each cell's covers from the level below.  A cover
-outside W^Theta is dropped; every other w' is looked up in the memo, never built.
+I whose gamma' keeps u^{-1}(a_j) positive.  `cells_with_covers` walks W^Theta
+once, lifting each cell's covers from the level below.  A cover outside W^Theta
+is dropped; every other w' is looked up in the memo, never built.
 
 Type A one-line forms name cells in the CLI's output and feed the one-line
 cover oracle `covers_oracle_typeA`, the fourth kappa route.
@@ -45,6 +51,7 @@ from .rootsys import (
     RootSystem,
     check_size,
     check_theta,
+    negate,
     nonzero_rows,
     poincare_mod2,
     simple_root,
@@ -87,9 +94,31 @@ class CoveringPair(Record):
         return f"w={_named(self.w)} w'={_named(self.w_prime)} I={self.deleted_index}"
 
 
+class Reflection(dict):
+    """The reflection x -> x - <x, b^v> b as a table from each root to the
+    system's own tuple of its image, ``pairing`` listing the <a_k, b^v>.  An
+    entry is made on its first lookup, so a walk of high rank that touches few
+    roots does not fill every table.  KeyError for an image that is not a root."""
+
+    __slots__ = ("roots", "root", "pairing")
+
+    def __init__(self, roots: dict[Coeffs, Coeffs], root: Coeffs, pairing: Coeffs):
+        super().__init__()
+        self.roots, self.root, self.pairing = roots, root, pairing
+
+    def __missing__(self, x: Coeffs) -> Coeffs:
+        if k := sum(p * c for p, c in zip(self.pairing, x)):
+            image = self.roots[tuple(c - k * r for c, r in zip(x, self.root))]
+        else:
+            image = self.roots[x]
+        self[x] = image
+        return image
+
+
 class WeylGroup:
     """Weyl group of a root system.  It holds e alone at first; the elements
-    that queries read are built on demand and memoised in ``by_matrix``."""
+    that queries read are built on demand and memoised in ``by_matrix``, and
+    ``reflections`` keeps the tables that their products look up."""
 
     def __init__(self, system: RootSystem):
         self.system = system
@@ -100,6 +129,12 @@ class WeylGroup:
         matrix: Matrix = tuple(system.roots[simple_root(n, i)] for i in range(n))
         self.identity = WeylElement((), matrix, matrix, None, (0,) * n)
         self.by_matrix: dict[Matrix, WeylElement] = {matrix: self.identity}
+        # s_i from row i of C, keyed by i; s_b from b's coroot pairings, keyed by b and -b
+        roots, cartan = system.roots, system.cartan.cartan_matrix
+        self.reflections = {i: Reflection(roots, matrix[i], cartan[i]) for i in range(n)}
+        for b, pairing in system.coroot_pairings.items():
+            self.reflections[b] = self.reflections[roots[negate(b)]] = Reflection(roots, b, pairing)
+        self._indices = frozenset(range(n))
 
     @property
     def elements(self):
@@ -109,23 +144,17 @@ class WeylGroup:
     # -- construction -----------------------------------------------------
 
     def _right_mult(self, matrix: Matrix, i: int) -> Matrix:
-        """Matrix of w*s_i: column j becomes col_j - C[i][j]*col_i, so only
-        column i and its diagram neighbours move, each to the system's own root."""
-        cols = list(matrix)
-        ci = matrix[i]
-        for j, c in self._moved[i]:
-            cols[j] = self.system.roots[tuple(a - c * b for a, b in zip(matrix[j], ci))]
-        return tuple(cols)
+        """Matrix of w*s_i = s_gamma*w, gamma = +-w(a_i) (s_-gamma = s_gamma):
+        s_gamma's table applied to every column.  For w = v^{-1} it gives the
+        inverse of s_i*v.  KeyError for a column that is not a root."""
+        s = self.reflections[matrix[i]]
+        return tuple([s[col] for col in matrix])
 
     def _left_mult(self, i: int, matrix: Matrix) -> Matrix:
-        """Matrix of s_i*w: reflect every column, which moves its entry i by its
-        pairing with a_i's coroot; a column that moves becomes the system's root."""
-        moved, roots = self._moved[i], self.system.roots
-        return tuple(
-            roots[col[:i] + (col[i] - k,) + col[i + 1 :]]
-            if (k := sum(c * col[j] for j, c in moved)) else col
-            for col in matrix
-        )
+        """Matrix of s_i*w: s_i's table, built from row i of the Cartan matrix,
+        applied to every column.  KeyError for a column that is not a root."""
+        s = self.reflections[i]
+        return tuple([s[col] for col in matrix])
 
     def _step(self, i: int, tail: WeylElement, inverse: Matrix) -> WeylElement:
         """s_i*tail, memoised, for i its smallest left descent and ``inverse``
@@ -150,42 +179,46 @@ class WeylGroup:
         deleted positions I, lifted from ``below``, this method's pairs for
         u = ``w.tail`` and theta ([] for e).  For w = s_j*u, I = 1 gives w' = u,
         gamma = u^{-1}(a_j) and beta = a_j; a pair (u, v, I) of ``below`` gives
-        s_j*v at I + 1, reduced iff s_gamma'(gamma) > 0 for its gamma', i.e. iff
-        ht gamma > <gamma, gamma'^v> ht gamma', and then it keeps gamma' and has
-        beta = s_j(beta').  A w' in W^Theta has its v there too (Deodhar's
-        lemma); a w' outside is dropped, the others are looked up in
-        ``by_matrix``, never built (None if absent)."""
+        s_j*v at I + 1, reduced iff s_gamma'(gamma) > 0 for its gamma', and then
+        it keeps gamma' and has beta = s_j(beta').  w' = s_beta*w, and a stored
+        w' must have the inverse s_gamma*w^{-1}; each reflection is a table
+        lookup.  A w' in W^Theta has its v there too (Deodhar's lemma); a w'
+        outside is dropped, the others are looked up in ``by_matrix``, never
+        built (None if absent).  A theta index outside range(rank) is refused."""
+        if not theta <= self._indices:
+            raise ValueError("theta indices out of range")
         if w.tail is None:
             return []
-        j, roots, pairings = w.word[0], self.system.roots, self.system.coroot_pairings
-        positive = self.system.coroot_coeffs
-        gamma_1 = w.tail.inverse_matrix[j]
-        candidates = [(1, self.identity.matrix[j], gamma_1)]
-        for p in below:
-            if sum(gamma_1) > sum(x * c for x, c in zip(gamma_1, pairings[p.gamma])) * sum(p.gamma):
-                b = p.beta  # s_j(b) moves entry j by b's pairing with a_j's coroot
-                b_j = b[j] - sum(c * b[i] for i, c in self._moved[j])
-                candidates.append((p.deleted_index + 1, b[:j] + (b_j,) + b[j + 1 :], p.gamma))
+        j, positive, reflections = w.word[0], self.system.coroot_coeffs, self.reflections
+        s_j, gamma_1 = reflections[j], w.tail.inverse_matrix[j]
         seen: set[Matrix] = set()
         found: list[CoveringPair] = []
-        for index, beta, gamma in candidates:
-            try:  # a vector that is not a root: s_gamma does not act as a reflection
-                beta = roots[beta]
+        for index, beta, gamma in [(1, self.identity.matrix[j], gamma_1)] + [
+                (p.deleted_index + 1, p.beta, p.gamma) for p in below]:
+            try:  # a table entry that is not a root: s_beta or s_gamma is no reflection
+                if index > 1:
+                    if reflections[gamma][gamma_1] not in positive:
+                        continue  # deleting the letter leaves a word that is not reduced
+                    beta = s_j[beta]
                 if beta not in positive:
                     raise AssertionError(f"beta of a reduced deletion is not positive "
                                          f"on w={_named(w)} I={index}")
-                # w'(a_k) = w(a_k - <a_k, gamma^v> gamma) = w(a_k) + <a_k, gamma^v> beta
-                matrix = tuple(roots[tuple(a + c * b for a, b in zip(col, beta))] if c else col
-                               for col, c in zip(w.matrix, pairings[gamma]))
+                s = reflections[beta]
+                matrix = tuple([s[col] for col in w.matrix])
                 if matrix in seen:
                     raise AssertionError(f"deleted position is not unique "
                                          f"on w={_named(w)} I={index}")
                 seen.add(matrix)
                 if not all(matrix[k] in positive for k in theta):
                     continue  # w' is in W^Theta iff it keeps Theta's simple roots positive
+                if (w_prime := self.by_matrix.get(matrix)) is not None:
+                    s = reflections[gamma]
+                    if w_prime.inverse_matrix != tuple([s[col] for col in w.inverse_matrix]):
+                        raise AssertionError(f"w' = s_beta*w is not w*s_gamma "
+                                             f"on w={_named(w)} I={index}")
             except KeyError:
                 raise AssertionError(f"w' is not in W on w={_named(w)} I={index}") from None
-            found.append(CoveringPair(w, self.by_matrix.get(matrix), index, beta, gamma))
+            found.append(CoveringPair(w, w_prime, index, beta, gamma))
         return found
 
     def cells_with_covers(

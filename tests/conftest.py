@@ -42,6 +42,16 @@ def in_quotient(matrix, theta):
     return all(is_positive(matrix[k]) for k in theta)
 
 
+def right_mult(group, matrix, i):
+    """Oracle: the matrix of w*s_i by the dense rule, column j becoming
+    col_j - C[i][j]*col_i, each the root system's own tuple (KeyError if it
+    is not a root).  It reads the Cartan matrix alone, not the coroot
+    pairings that `WeylGroup._right_mult` reflects by."""
+    row, roots = group.system.cartan.cartan_matrix[i], group.system.roots
+    return tuple(roots[tuple(a - c * b for a, b in zip(col, matrix[i]))]
+                 for col, c in zip(matrix, row))
+
+
 def build(group, matrix, inverse):
     """Oracle: the element with this matrix, memoised first if ``by_matrix``
     lacks it, found by a descent search rather than a walk.
@@ -60,7 +70,7 @@ def build(group, matrix, inverse):
         if j is None or len(chain) > len(group.system.positive_roots):
             raise AssertionError(f"matrix {chain[0][1]} is not an element of W")
         try:  # a product with a column that is not a root
-            matrix, inverse = group._left_mult(j, matrix), group._right_mult(inverse, j)
+            matrix, inverse = group._left_mult(j, matrix), right_mult(group, inverse, j)
         except KeyError:
             raise AssertionError(f"matrix {chain[0][1]} is not an element of W") from None
     for j, matrix, inverse in reversed(chain):
@@ -128,7 +138,7 @@ def element_from_word(group, word):
     matrix = inverse = group.identity.matrix
     for i in word:
         # w*s_i, and its inverse s_i*w^{-1}
-        matrix, inverse = group._right_mult(matrix, i), group._left_mult(i, inverse)
+        matrix, inverse = right_mult(group, matrix, i), group._left_mult(i, inverse)
     return build(group, matrix, inverse)
 
 

@@ -4,7 +4,7 @@ from functools import reduce
 import pytest
 
 from flaghom import WeylGroup, covers_oracle_typeA, one_line, orientable_via_topcell, root_system
-from flaghom.rootsys import GroupTooLargeError, RootSystem, simple_root
+from flaghom.rootsys import GroupTooLargeError, RootSystem, negate, simple_root
 from flaghom.weyl import CoveringPair
 
 from conftest import (
@@ -377,6 +377,33 @@ def test_cover_beta_not_positive_names_w_and_i():
     assert str(exc.value) == "beta of a reduced deletion is not positive on w=[2, 1] I=2"
 
 
+def test_cover_gamma_not_matching_beta_names_w_and_i():
+    """A pair of u whose gamma is not the root its beta reflects by still
+    passes the lift test, but the w' = s_beta*w it lifts to does not have the
+    inverse s_gamma*w^{-1}."""
+    g = cached_group("A", 2)
+    w = element_from_word(g, (1, 0))
+    (pair,) = lifted_covers(g, w.tail, frozenset())
+    a_j = g.identity.matrix[w.word[0]]
+    below = [CoveringPair(pair.w, pair.w_prime, pair.deleted_index, pair.beta, a_j)]
+    with pytest.raises(AssertionError) as exc:
+        g.bruhat_covers(w, frozenset(), below)
+    assert str(exc.value) == "w' = s_beta*w is not w*s_gamma on w=[2, 1] I=2"
+
+
+@pytest.mark.parametrize("theta", [{-1}, {5}])
+def test_covers_refuse_theta_out_of_range(theta):
+    """A 0-based index outside range(rank) is refused, not read as another
+    simple root ({-1} as {2}) or left to fail as an IndexError ({5})."""
+    g = cached_group("A", 3)
+    w = element_from_word(g, (0, 2))
+    below = lifted_covers(g, w.tail, frozenset())
+    assert [str(p) for p in lifted_covers(g, w, {2})] == ["w=[1, 3] w'=[1] I=2"]
+    for cell, pairs in ((w, below), (g.identity, [])):
+        with pytest.raises(ValueError, match="theta indices out of range"):
+            g.bruhat_covers(cell, theta, pairs)
+
+
 def test_repeated_deleted_position_names_w_and_i():
     """Zero pairings with every coroot make every deletion give w itself,
     so the second deletion repeats the first."""
@@ -613,6 +640,49 @@ def _reflect_root(system, alpha, beta):
     assert num % den == 0
     k = num // den
     return tuple(b - k * a for a, b in zip(alpha, beta))
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+def test_reflection_tables_match_two_oracles(family, rank):
+    """On every root, s_i's table gives `reflect`'s image, and s_b's, keyed
+    by b and by -b alike, the image under the bilinear form's reflection;
+    each value is the root system's own tuple."""
+    g = WeylGroup(root_system(family, rank))
+    roots = g.system.roots
+    for x in roots:
+        for i in range(rank):
+            image = g.reflections[i][x]
+            assert image == reflect(g.system, i, x) and roots[image] is image
+        for b in g.system.positive_roots:
+            image = g.reflections[b][x]
+            assert image == _reflect_root(g.system, b, x) and roots[image] is image
+            assert g.reflections[negate(b)][x] is image
+
+
+def test_full_flag_walk_keeps_one_table_per_reflection():
+    """The A5 walk with covers reads rank 5 simple tables and at most
+    |Phi+| = 15 root tables, one per reflection however it is keyed, each
+    holding at most the 2|Phi+| = 30 roots."""
+    g = WeylGroup(root_system("A", 5))
+    assert sum(len(pairs) for _, pairs in g.cells_with_covers(frozenset(), None)) > 0
+    roots = g.system.roots
+    root_tables = {id(g.reflections[x]): g.reflections[x] for x in roots}
+    assert len(root_tables) <= 15 and len(g.reflections) == 5 + len(roots)
+    for table in [g.reflections[i] for i in range(5)] + list(root_tables.values()):
+        assert table and len(table) <= 30
+        assert all(roots[x] is x and roots[y] is y for x, y in table.items())
+
+
+def test_products_refuse_a_column_that_is_not_a_root():
+    """2*a_1 is no root of A2: a product that reflects it, or reflects by it,
+    raises KeyError, which the descent search `build` reports."""
+    g = WeylGroup(root_system("A", 2))
+    a1, a2 = g.identity.matrix
+    two = tuple(2 * x for x in a1)
+    for product in (lambda: g._left_mult(0, (two, a2)), lambda: g._right_mult((two, a2), 0),
+                    lambda: g._right_mult((a2, two), 0)):
+        with pytest.raises(KeyError):
+            product()
 
 
 def test_covers_oracle_s9_example():
