@@ -3,15 +3,16 @@
 Cells in degree k are the minimal coset representatives of length k, walked
 only up to the requested degree; the boundary entries come from the
 coefficient engine.  Rows the low-degree sign table cannot sign are zeroed,
-and `homology_groups` certifies every degree that depends on them; in type A
-the table reaches degree 3, hence H_1 and H_2.  Every entry is 0 or +-2, so
-mod-2 homology is the length count of W^Theta, which `rootsys.poincare_mod2`
-takes from root heights without building W.  Orientability, read off the top
-cell's covers, and the type A closed forms need no Weyl group either and live
-in `rootsys` with the `HomologyGroup` record; `poincare_mod2` and
-`orientable_via_topcell` are re-exported here, as is `SignIndeterminateError`,
-which `rootsys` defines so that the CLI can catch it without loading this
-module.  `coeffs` and `weyl` are read as modules at call time.
+nothing above the first degree with one is built, and `homology_groups`
+certifies the degree below it; in type A the table reaches degree 3, hence
+H_1 and H_2.  Every entry is 0 or +-2, so mod-2 homology is the length count
+of W^Theta, which `rootsys.poincare_mod2` takes from root heights without
+building W.  Orientability, read off the top cell's covers, and the type A
+closed forms need no Weyl group either and live in `rootsys` with the
+`HomologyGroup` record; `poincare_mod2` and `orientable_via_topcell` are
+re-exported here, as is `SignIndeterminateError`, which `rootsys` defines so
+that the CLI can catch it without loading this module.  `coeffs` and `weyl`
+are read as modules at call time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from .rootsys import (  # noqa: F401 (re-exported)
 
 class ChainComplex(Record):
     """Cells per degree; boundaries[k] has a row per k-cell and a column per
-    (k-1)-cell; indeterminate_rows[k] lists the zeroed rows of degree k."""
+    (k-1)-cell; indeterminate_rows[k] lists the zeroed rows of degree k.  Every
+    degree from 0 to max_degree has its key; those above a degree with zeroed
+    rows are empty."""
 
     __slots__ = ("cells", "boundaries", "max_degree", "indeterminate_rows")
 
@@ -39,12 +42,13 @@ def build_complex(
     """Assemble integral boundary matrices on W^Theta through the given degree
     in one pass over `WeylGroup.cells_with_covers`, each row as its cell arrives.
 
-    Verifies d o d = 0 on construction wherever it is determined.  A row
-    with a magnitude-2 entry whose sign is undetermined is zeroed whole and
-    recorded.  Every boundary row has even entries and lies in the kernel of
-    the next boundary map, so a zeroed row can only remove redundant image;
-    `homology_groups` re-verifies that before trusting a degree that depends
-    on such a matrix.
+    A row with a magnitude-2 entry whose sign is undetermined is zeroed whole
+    and recorded.  Every boundary row has even entries and lies in the kernel
+    of the next boundary map, so a zeroed row of d_k can only remove redundant
+    image; `homology_groups` re-verifies that before trusting H_{k-1}, and
+    refuses H_k.  Nothing above degree k can then be read, so the pass stops at
+    the first cell above it.  Every row of d_{k-1} is thus known when a row of
+    d_k is built, and d o d = 0 is checked on each row as it is built.
     """
     cells: dict[int, list[weyl.WeylElement]] = {k: [] for k in range(max_degree + 1)}
     boundaries: dict[int, list[list[int]]] = {k: [] for k in range(1, max_degree + 1)}
@@ -52,6 +56,8 @@ def build_complex(
     index: dict[tuple, int] = {}  # a cell's matrix to its position within its degree
     for w, pairs in group.cells_with_covers(theta, max_degree):
         k = w.length
+        if k - 1 in indeterminate:
+            break
         index[w.matrix] = len(cells[k])
         cells[k].append(w)
         if not k:
@@ -65,26 +71,12 @@ def build_complex(
                 break
             if magnitude:
                 row[index[pair.w_prime.matrix]] = sign * magnitude
+        # d_{k-1} of this row: the rows of d_{k-1} its nonzero entries pick, scaled, summed
+        if k > 1 and any(map(sum, zip(*[[x * y for y in boundaries[k - 1][i]]
+                                         for i, x in enumerate(row) if x]))):
+            raise AssertionError(f"boundary of boundary is nonzero in degree {k}")
         boundaries[k].append(row)
-
-    complex_ = ChainComplex(cells, boundaries, max_degree, indeterminate)
-    _assert_d_squared_zero(complex_)
-    return complex_
-
-
-def _assert_d_squared_zero(complex_: ChainComplex) -> None:
-    """d_{k-1} d_k = 0, checked on every row of d_k whose product is known: a
-    row that meets a zeroed row of d_{k-1} is skipped."""
-    for k in range(2, complex_.max_degree + 1):
-        a, b = complex_.boundaries[k], complex_.boundaries[k - 1]
-        unknown = complex_.indeterminate_rows.get(k - 1, [])
-        for row in a:
-            if any(row[i] for i in unknown):
-                continue
-            n_out = len(b[0]) if b else 0
-            for j in range(n_out):
-                if sum(row[i] * b[i][j] for i in range(len(row))):
-                    raise AssertionError(f"boundary of boundary is nonzero in degree {k}")
+    return ChainComplex(cells, boundaries, max_degree, indeterminate)
 
 
 def smith_normal_form(matrix: list[list[int]]) -> list[int]:

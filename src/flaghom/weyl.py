@@ -185,7 +185,7 @@ class WeylGroup:
         lookup.  A w' in W^Theta has its v there too (Deodhar's lemma); a w'
         outside is dropped, the others are looked up in ``by_matrix``, never
         built (None if absent).  A theta index outside range(rank) is refused."""
-        if not theta <= self._indices:
+        if not self._indices.issuperset(theta):
             raise ValueError("theta indices out of range")
         if w.tail is None:
             return []
@@ -252,6 +252,7 @@ class WeylGroup:
         counts = poincare_mod2(self.system, theta)[: None if max_length is None else max_length + 1]
         check_size(sum(counts), "elements")
         positive, rank = self.system.coroot_coeffs, self.system.rank
+        theta_roots = {self.identity.matrix[k] for k in theta}
         # columns k < i of v^{-1}*s_i: v^{-1}'s own where C[i][k] = 0 (kept), else moved
         moved = [[k for k, _ in self._moved[i] if k < i] for i in range(rank)]
         kept = [[k for k in range(i) if k not in moved[i]] for i in range(rank)]
@@ -262,7 +263,7 @@ class WeylGroup:
                 for v in levels[-1]:
                     # the inverse of s_i*v is v^{-1}*s_i; column k is negative
                     # iff k is a left descent of s_i*v, and i must be the smallest
-                    if (self._steps_up(v.matrix, v.inverse_matrix, i, theta)
+                    if (self._steps_up(v.inverse_matrix, i, theta_roots)
                             and all(v.inverse_matrix[k] in positive for k in kept[i])):
                         inverse = self._right_mult(v.inverse_matrix, i)
                         if all(inverse[k] in positive for k in moved[i]):
@@ -275,12 +276,12 @@ class WeylGroup:
                                  f"Macdonald's count {counts}")
         return [w for level in levels for w in level]
 
-    def _steps_up(self, matrix: Matrix, inverse: Matrix, i: int, theta: frozenset[int]) -> bool:
-        """For w in W^Theta: is s_i*w one longer and in W^Theta?  It is longer
-        iff w^{-1}(a_i) > 0, and it then leaves W^Theta iff w sends some simple
-        root of Theta to a_i (Deodhar's lemma)."""
-        a_i = self.identity.matrix[i]
-        return inverse[i] in self.system.coroot_coeffs and all(matrix[k] != a_i for k in theta)
+    def _steps_up(self, inverse: Matrix, i: int, theta_roots: set[Coeffs]) -> bool:
+        """For w in W^Theta, ``inverse`` its inverse: is s_i*w one longer and in
+        W^Theta?  It is longer iff w^{-1}(a_i) > 0, and it then leaves W^Theta
+        iff w(a_k) = a_i, that is w^{-1}(a_i) = a_k, for a_k in ``theta_roots``,
+        the simple roots of Theta (Deodhar's lemma)."""
+        return inverse[i] in self.system.coroot_coeffs and inverse[i] not in theta_roots
 
 
 # -- type A one-line combinatorics ---------------------------------------

@@ -122,9 +122,10 @@ def top_cell(group, theta):
     """
     theta = check_theta(theta, group.system.rank)
     matrix = inverse = group.identity.matrix
+    theta_roots = {matrix[k] for k in theta}
     i = 0
     while i < group.system.rank:
-        if group._steps_up(matrix, inverse, i, theta):
+        if group._steps_up(inverse, i, theta_roots):
             matrix, inverse = group._left_mult(i, matrix), group._right_mult(inverse, i)
             i = 0
         else:

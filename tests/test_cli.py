@@ -438,11 +438,26 @@ def test_theta_complement_out_of_range_exits_2(capsys, index):
     assert err == "flaghom: error: theta indices must lie in [1, rank]\n"
 
 
-@pytest.mark.parametrize("family,max_degree", [("D", "5"), ("F", "5"), ("A", "8"), ("B", "7")])
-def test_homology_above_sign_table_exits_2(capsys, family, max_degree):
-    # the d o d check skips products through zeroed rows, so the certificate decides
-    err = _one_line_error(capsys, ["homology", family, "4", "--max-degree", max_degree], 2)
-    assert err == "flaghom: error: cannot compute H_3: degree 3 has sign-indeterminate rows\n"
+_UNSIGNED_3 = "cannot compute H_3: degree 3 has sign-indeterminate rows"
+
+
+def _uncertified(k):
+    return (f"cannot certify homology in degree {k}: "
+            "image of the determined boundary rows is not twice the kernel")
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param("D 4 --max-degree 5", _UNSIGNED_3, id="D-5"),
+    pytest.param("F 4 --max-degree 5", _UNSIGNED_3, id="F-5"),
+    pytest.param("A 4 --max-degree 8", _UNSIGNED_3, id="A-8"),
+    pytest.param("B 4 --max-degree 7", _UNSIGNED_3, id="B-7"),
+    # the certificate of degree k - 1 is read before H_k is refused
+    pytest.param("A 4 --theta 3,4 --max-degree 6", _uncertified(3), id="A-theta-3,4-6"),
+    pytest.param("D 4 --theta 1,4 --max-degree 6", _uncertified(4), id="D-theta-1,4-6"),
+])
+def test_homology_above_sign_table_exits_2(capsys, argv, message):
+    err = _one_line_error(capsys, ["homology", *argv.split()], 2)
+    assert err == f"flaghom: error: {message}\n"
 
 
 def test_homology_g2_to_the_top_cell(capsys):

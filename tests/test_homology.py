@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from flaghom import (
     WeylGroup,
     build_complex,
+    coeffs,
     h1_h2_closed_form,
     homology_groups,
     orientable_typeA,
@@ -14,7 +15,7 @@ from flaghom import (
     poincare_mod2,
     smith_normal_form,
 )
-from flaghom.homology import SignIndeterminateError, _assert_d_squared_zero
+from flaghom.homology import SignIndeterminateError
 from flaghom.rootsys import root_system
 
 from conftest import (
@@ -125,28 +126,54 @@ def test_uncertified_degree_raises():
         homology_groups(c, 3)
 
 
-@pytest.mark.parametrize(
-    "family,rank,max_degree", [("D", 4, 5), ("F", 4, 5), ("A", 4, 8), ("B", 4, 7)]
-)
-def test_d_squared_check_skips_only_unknown_products(family, rank, max_degree):
-    # products through a zeroed row of d_{k-1} are unknown and skipped
-    c = build_complex(cached_group(family, rank, max_degree), frozenset(), max_degree)
-    assert c.indeterminate_rows
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4), ("D", 4), ("F", 4)])
+def test_d_squared_check_refuses_each_flipped_sign(monkeypatch, family, rank):
+    """Each row of d_k is checked against d_{k-1} as it is built: flipping the
+    sign of one entry whose column meets a nonzero row of d_{k-1} raises."""
+    group = cached_group(family, rank, 3)
+    c = build_complex(group, frozenset(), 3)
+    homology_groups(c, 2)
+    signed = coeffs.coefficient
     flipped = 0
-    for k in range(2, max_degree + 1):
-        unknown = c.indeterminate_rows.get(k - 1, [])
-        for row in c.boundaries[k]:
-            if any(row[i] for i in unknown):
-                continue
+    for k in range(2, 4):
+        for w, row in zip(c.cells[k], c.boundaries[k]):
             for j, x in enumerate(row):
                 if x and any(c.boundaries[k - 1][j]):
-                    row[j] = -x
+                    w_prime = c.cells[k - 1][j]
+
+                    def flip(group, pair, w=w, w_prime=w_prime):
+                        magnitude, sign = signed(group, pair)
+                        if (pair.w, pair.w_prime) == (w, w_prime):
+                            sign = -sign
+                        return magnitude, sign
+
+                    monkeypatch.setattr("flaghom.coeffs.coefficient", flip)
                     with pytest.raises(AssertionError, match=f"nonzero in degree {k}"):
-                        _assert_d_squared_zero(c)
-                    row[j] = x
+                        build_complex(group, frozenset(), 3)
                     flipped += 1
     assert flipped
-    _assert_d_squared_zero(c)
+    monkeypatch.setattr("flaghom.coeffs.coefficient", signed)
+    assert build_complex(group, frozenset(), 3) == c
+
+
+def test_build_stops_above_the_first_zeroed_degree(monkeypatch):
+    """E6's degree-3 rows are zeroed, so no cell above degree 3 gets a row:
+    H_3 and everything above it are refused before they are built."""
+    group = WeylGroup(root_system("E", 6))
+    signed = coeffs.coefficient
+    lengths = set()
+
+    def recorded(group, pair):
+        lengths.add(pair.w.length)
+        return signed(group, pair)
+
+    monkeypatch.setattr("flaghom.coeffs.coefficient", recorded)
+    c = build_complex(group, frozenset(), 10)
+    assert max(lengths) == 3 and 3 in c.indeterminate_rows
+    assert all(not c.cells[k] and not c.boundaries[k] for k in range(4, 11))
+    assert len(homology_groups(c, 2)) == 3  # the rows kept still certify H_2
+    with pytest.raises(SignIndeterminateError, match="cannot compute H_3"):
+        homology_groups(c, 9)
 
 
 def test_h0_is_z():

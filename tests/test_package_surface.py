@@ -1,5 +1,6 @@
-"""Every name the package exports is read by the package itself, and every
-check in it survives ``python -O``.
+"""Every name the package exports is read by the package itself, every
+check in it survives ``python -O``, and every module parses as the oldest
+Python that ``pyproject.toml`` admits.
 
 Helpers that only tests call live in ``tests/conftest.py`` as oracles.  An
 exported name that no module of ``src/flaghom`` reads outside its own
@@ -8,6 +9,8 @@ definition would be one of those, and fails here.
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import flaghom
 
@@ -63,3 +66,12 @@ def test_no_assert_statement_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_module_parses_as_python_3_10():
+    """``requires-python = ">=3.10"``, while the tests run on one interpreter:
+    the parser's 3.10 grammar refuses newer syntax such as ``except*``."""
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -391,14 +391,16 @@ def test_cover_gamma_not_matching_beta_names_w_and_i():
     assert str(exc.value) == "w' = s_beta*w is not w*s_gamma on w=[2, 1] I=2"
 
 
-@pytest.mark.parametrize("theta", [{-1}, {5}])
+@pytest.mark.parametrize("theta", [{-1}, {5}, [-1], (5,)])
 def test_covers_refuse_theta_out_of_range(theta):
     """A 0-based index outside range(rank) is refused, not read as another
-    simple root ({-1} as {2}) or left to fail as an IndexError ({5})."""
+    simple root ({-1} as {2}) or left to fail as an IndexError ({5}).  Any
+    iterable of indices is a theta, as `check_theta` takes it."""
     g = cached_group("A", 3)
     w = element_from_word(g, (0, 2))
     below = lifted_covers(g, w.tail, frozenset())
-    assert [str(p) for p in lifted_covers(g, w, {2})] == ["w=[1, 3] w'=[1] I=2"]
+    for in_range in ({2}, [2], (2,), range(2, 3)):
+        assert [str(p) for p in lifted_covers(g, w, in_range)] == ["w=[1, 3] w'=[1] I=2"]
     for cell, pairs in ((w, below), (g.identity, [])):
         with pytest.raises(ValueError, match="theta indices out of range"):
             g.bruhat_covers(cell, theta, pairs)
