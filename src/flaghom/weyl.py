@@ -25,10 +25,10 @@ sizes after; `_step` checks the cap as it stores each element too.  A root is
 positive iff the root system's table of positive roots holds it.
 
 Each product is a table lookup per column (Casselman): a group keeps one
-`Reflection` table per reflection, s_i built from row i of the Cartan matrix
-and s_b, for b positive, from b's coroot pairings, each entry made on its first
-lookup.  s_i*w reflects w's columns by s_i, and w*s_i = s_gamma*w, gamma =
-+-w(a_i), by s_gamma.
+`Reflection` table per positive root b, built from b's coroot pairings, each
+entry made on its first lookup; s_i is s_{a_i}, since a_i's pairings are row i
+of the Cartan matrix.  s_i*w reflects w's columns by s_i, and w*s_i =
+s_gamma*w, gamma = +-w(a_i), by s_gamma.
 
 The Bruhat covers of w = s_j*u, u its ``tail``, are lifted from u's: deleting
 letter 1 gives u, and letter I + 1 gives s_j*v for each cover v of u at letter
@@ -129,12 +129,11 @@ class WeylGroup:
         matrix: Matrix = tuple(system.roots[simple_root(n, i)] for i in range(n))
         self.identity = WeylElement((), matrix, matrix, None, (0,) * n)
         self.by_matrix: dict[Matrix, WeylElement] = {matrix: self.identity}
-        # s_i from row i of C, keyed by i; s_b from b's coroot pairings, keyed by b and -b
-        roots, cartan = system.roots, system.cartan.cartan_matrix
-        self.reflections = {i: Reflection(roots, matrix[i], cartan[i]) for i in range(n)}
+        # s_b from b's coroot pairings, keyed by b and -b; s_i is s_{a_i}, keyed by i too
+        roots, self.reflections = system.roots, {}
         for b, pairing in system.coroot_pairings.items():
             self.reflections[b] = self.reflections[roots[negate(b)]] = Reflection(roots, b, pairing)
-        self._indices = frozenset(range(n))
+        self.reflections.update({i: self.reflections[a] for i, a in enumerate(matrix)})
 
     @property
     def elements(self):
@@ -151,8 +150,8 @@ class WeylGroup:
         return tuple([s[col] for col in matrix])
 
     def _left_mult(self, i: int, matrix: Matrix) -> Matrix:
-        """Matrix of s_i*w: s_i's table, built from row i of the Cartan matrix,
-        applied to every column.  KeyError for a column that is not a root."""
+        """Matrix of s_i*w: the table of s_i = s_{a_i} applied to every column.
+        KeyError for a column that is not a root."""
         s = self.reflections[i]
         return tuple([s[col] for col in matrix])
 
@@ -184,9 +183,8 @@ class WeylGroup:
         w' must have the inverse s_gamma*w^{-1}; each reflection is a table
         lookup.  A w' in W^Theta has its v there too (Deodhar's lemma); a w'
         outside is dropped, the others are looked up in ``by_matrix``, never
-        built (None if absent).  A theta index outside range(rank) is refused."""
-        if not self._indices.issuperset(theta):
-            raise ValueError("theta indices out of range")
+        built (None if absent).  `check_theta` refuses a theta out of range."""
+        theta = check_theta(theta, self.system.rank)
         if w.tail is None:
             return []
         j, positive, reflections = w.word[0], self.system.coroot_coeffs, self.reflections
@@ -226,6 +224,7 @@ class WeylGroup:
     ) -> Iterator[tuple[WeylElement, list[CoveringPair]]]:
         """Each cell of W^Theta up to max_length (all when None) in (length, word)
         order, with its `bruhat_covers` lifted from the level below, the one kept."""
+        theta = check_theta(theta, self.system.rank)
         reps, below = self.minimal_representatives(theta, max_length), {}
         for _, level in groupby(reps, lambda w: w.length):
             below = {w: self.bruhat_covers(w, theta, below.get(w.tail, [])) for w in level}
@@ -236,22 +235,22 @@ class WeylGroup:
     ) -> list[WeylElement]:
         """W^Theta up to max_length (all of it when None), in (length, word) order.
 
-        W^Theta is an order ideal of the left weak order, walked up level by
-        level from e by the steps `_steps_up` allows.  A step s_i*v is taken
-        only when i is its smallest left descent, so v is its tail and each
-        element is made once, from its canonical tail.  The columns k < i of
-        v^{-1} that s_i keeps (C[i][k] = 0) refuse most other steps before the
-        product v^{-1}*s_i is built.  Taking i in ascending
-        order and v in the previous level's order makes each level in word
-        order.  Macdonald's count refuses a walk above the size cap before
-        anything is built, and must equal the size of every level the walk finds.
+        W^Theta is an order ideal of the left weak order, walked up level by level
+        from e by the steps `_steps_up` allows.  A step s_i*v is taken only when i
+        is its smallest left descent, so v is its tail and each element is made
+        once, from its canonical tail.  Column k < i of its inverse v^{-1}*s_i is
+        v^{-1}'s own where C[i][k] = 0, else read in s_gamma's table, gamma =
+        v^{-1}(a_i), so the product is built once per element.  Taking i in
+        ascending order and v in the previous level's order makes each level in word
+        order.  Macdonald's count refuses a walk above the size cap before anything
+        is built, and must equal the size of every level the walk finds.
         """
         theta = check_theta(theta, self.system.rank)
         if max_length is not None and max_length < 0:
             raise ValueError("max_length must be >= 0")
         counts = poincare_mod2(self.system, theta)[: None if max_length is None else max_length + 1]
         check_size(sum(counts), "elements")
-        positive, rank = self.system.coroot_coeffs, self.system.rank
+        positive, rank, reflections = self.system.coroot_coeffs, self.system.rank, self.reflections
         theta_roots = {self.identity.matrix[k] for k in theta}
         # columns k < i of v^{-1}*s_i: v^{-1}'s own where C[i][k] = 0 (kept), else moved
         moved = [[k for k, _ in self._moved[i] if k < i] for i in range(rank)]
@@ -261,13 +260,13 @@ class WeylGroup:
             level = []
             for i in range(rank):
                 for v in levels[-1]:
-                    # the inverse of s_i*v is v^{-1}*s_i; column k is negative
-                    # iff k is a left descent of s_i*v, and i must be the smallest
-                    if (self._steps_up(v.inverse_matrix, i, theta_roots)
-                            and all(v.inverse_matrix[k] in positive for k in kept[i])):
-                        inverse = self._right_mult(v.inverse_matrix, i)
-                        if all(inverse[k] in positive for k in moved[i]):
-                            level.append(self._step(i, v, inverse))
+                    # i is s_i*v's least left descent iff columns k < i of v^{-1}*s_i are > 0
+                    inverse = v.inverse_matrix
+                    if (self._steps_up(inverse, i, theta_roots)
+                            and all(inverse[k] in positive for k in kept[i])):
+                        s = reflections[inverse[i]]
+                        if all(s[inverse[k]] in positive for k in moved[i]):
+                            level.append(self._step(i, v, self._right_mult(inverse, i)))
             if not level:
                 break
             levels.append(level)

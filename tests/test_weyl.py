@@ -3,7 +3,9 @@ from functools import reduce
 
 import pytest
 
-from flaghom import WeylGroup, covers_oracle_typeA, one_line, orientable_via_topcell, root_system
+from flaghom import (
+    WeylGroup, build_complex, covers_oracle_typeA, one_line, orientable_via_topcell, root_system
+)
 from flaghom.rootsys import GroupTooLargeError, RootSystem, negate, simple_root
 from flaghom.weyl import CoveringPair
 
@@ -164,14 +166,15 @@ def _with_pairings(system, pairings):
 
 def test_cover_outside_w_names_w_and_i():
     """Doubled pairings make s_gamma no reflection, so the first deletion
-    gives a w' column that is not a root.  The covers of w's tail come from
-    the true system, on which they hold."""
+    gives a w' column that is not a root.  w and the covers of its tail come
+    from the true system, on which they hold; only the tables are swapped."""
     system = root_system("A", 2)
     doubled = {root: tuple(2 * p for p in pairing)
                for root, pairing in system.coroot_pairings.items()}
-    g = WeylGroup(_with_pairings(system, doubled))
+    g = WeylGroup(system)
     w = element_from_word(g, (1, 0))
-    below = lifted_covers(cached_group("A", 2), w.tail, frozenset())
+    below = lifted_covers(g, w.tail, frozenset())
+    g.reflections = WeylGroup(_with_pairings(system, doubled)).reflections
     with pytest.raises(AssertionError) as exc:
         g.bruhat_covers(w, frozenset(), below)
     assert str(exc.value) == "w' is not in W on w=[2, 1] I=1"
@@ -406,15 +409,32 @@ def test_covers_refuse_theta_out_of_range(theta):
             g.bruhat_covers(cell, theta, pairs)
 
 
+@pytest.mark.parametrize("one_shot", [lambda: (k for k in [0]), lambda: iter([0])],
+                         ids=["generator", "iterator"])
+def test_one_shot_theta_gives_the_frozenset_answer(one_shot):
+    """A generator or iterator theta is read once, so the walk and every
+    `bruhat_covers` call see the same Theta: the cells, covers and complex
+    are those of the frozenset theta."""
+    def covers(theta):
+        return list(WeylGroup(root_system("A", 3)).cells_with_covers(theta, 2))
+
+    assert covers(one_shot()) == covers(frozenset({0}))
+    expected = build_complex(WeylGroup(root_system("A", 3)), frozenset({0}), 3)
+    assert build_complex(WeylGroup(root_system("A", 3)), one_shot(), 3) == expected
+
+
 def test_repeated_deleted_position_names_w_and_i():
     """Zero pairings with every coroot make every deletion give w itself,
-    so the second deletion repeats the first."""
+    so the second deletion repeats the first.  w and the covers of its tail
+    come from the true system; only the tables are swapped."""
     system = root_system("A", 2)
     zero = {root: (0, 0) for root in system.positive_roots}
-    g = WeylGroup(_with_pairings(system, zero))
+    g = WeylGroup(system)
     w = element_from_word(g, (1, 0))
+    below = lifted_covers(g, w.tail, frozenset())
+    g.reflections = WeylGroup(_with_pairings(system, zero)).reflections
     with pytest.raises(AssertionError) as exc:
-        lifted_covers(g, w, frozenset())
+        g.bruhat_covers(w, frozenset(), below)
     assert str(exc.value) == "deleted position is not unique on w=[2, 1] I=2"
 
 
@@ -597,9 +617,12 @@ def test_walk_multiplies_only_steps_its_kept_columns_allow(family, rank, monkeyp
     """v^{-1}*s_i keeps v^{-1}'s column k wherever C[i][k] = 0, so a step
     s_i*v whose kept column k < i is negative has a smaller left descent and
     is refused before the product is built: every `_right_mult` the walk
-    makes has v^{-1}(a_k) > 0 for each k < i not adjacent to i.  W(A5) then
-    takes 975 products for its 720 elements, against 1,800 when each step
-    up was multiplied before it was tested."""
+    makes has v^{-1}(a_k) > 0 for each k < i not adjacent to i.  The other
+    columns k < i are read through s_gamma's table, gamma = v^{-1}(a_i), so
+    the walk multiplies only the steps it takes, one per element besides e:
+    W(A5) takes 719 products for its 720 elements, against 975 when each step
+    that passed the kept columns was multiplied, and 1,800 when each step up
+    was."""
     right_mult, calls = WeylGroup._right_mult, []
 
     def recorded(self, matrix, i):
@@ -611,12 +634,13 @@ def test_walk_multiplies_only_steps_its_kept_columns_allow(family, rank, monkeyp
     C = system.cartan.cartan_matrix
     for theta in _subsets(rank):
         calls.clear()
-        WeylGroup(system).minimal_representatives(theta)
+        reps = WeylGroup(system).minimal_representatives(theta)
         for inverse, i in calls:
             assert all(is_positive(inverse[k]) for k in range(i) if C[i][k] == 0)
+        assert len(calls) == len(reps) - 1
     calls.clear()
     assert len(WeylGroup(root_system("A", 5)).minimal_representatives(set())) == 720
-    assert len(calls) == 975
+    assert len(calls) == 719
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
@@ -662,15 +686,16 @@ def test_reflection_tables_match_two_oracles(family, rank):
 
 
 def test_full_flag_walk_keeps_one_table_per_reflection():
-    """The A5 walk with covers reads rank 5 simple tables and at most
-    |Phi+| = 15 root tables, one per reflection however it is keyed, each
+    """s_i is keyed to the table of a_i, so the A5 walk with covers reads at
+    most |Phi+| = 15 tables, one per reflection however it is keyed, each
     holding at most the 2|Phi+| = 30 roots."""
     g = WeylGroup(root_system("A", 5))
     assert sum(len(pairs) for _, pairs in g.cells_with_covers(frozenset(), None)) > 0
     roots = g.system.roots
-    root_tables = {id(g.reflections[x]): g.reflections[x] for x in roots}
-    assert len(root_tables) <= 15 and len(g.reflections) == 5 + len(roots)
-    for table in [g.reflections[i] for i in range(5)] + list(root_tables.values()):
+    assert all(g.reflections[i] is g.reflections[g.identity.matrix[i]] for i in range(5))
+    tables = {id(t): t for t in g.reflections.values()}
+    assert len(tables) <= 15 and len(g.reflections) == 5 + len(roots)
+    for table in tables.values():
         assert table and len(table) <= 30
         assert all(roots[x] is x and roots[y] is y for x, y in table.items())
 
