@@ -29,18 +29,19 @@ from .rootsys import (  # noqa: F401 (re-exported)
 
 class ChainComplex(Record):
     """Cells per degree; boundaries[k] has a row per k-cell and a column per
-    (k-1)-cell; indeterminate_rows[k] lists the zeroed rows of degree k.  Every
-    degree from 0 to max_degree has its key; those above a degree with zeroed
-    rows are empty."""
+    (k-1)-cell; indeterminate_rows[k] lists the zeroed rows of degree k.  A
+    complex built to degree d has a key in ``cells`` for every degree 0..d, so
+    d is len(cells) - 1; the degrees above one with zeroed rows are empty."""
 
-    __slots__ = ("cells", "boundaries", "max_degree", "indeterminate_rows")
+    __slots__ = ("cells", "boundaries", "indeterminate_rows")
 
 
 def build_complex(
     group: weyl.WeylGroup, theta: frozenset[int] | set[int], max_degree: int
 ) -> ChainComplex:
     """Assemble integral boundary matrices on W^Theta through the given degree
-    in one pass over `WeylGroup.cells_with_covers`, each row as its cell arrives.
+    in one pass over `WeylGroup.cells_with_covers`, each row as its cell arrives;
+    `homology_groups` reads H_0..H_{max_degree-1} off the result.
 
     A row with a magnitude-2 entry whose sign is undetermined is zeroed whole
     and recorded.  Every boundary row has even entries and lies in the kernel
@@ -76,7 +77,7 @@ def build_complex(
                                          for i, x in enumerate(row) if x]))):
             raise AssertionError(f"boundary of boundary is nonzero in degree {k}")
         boundaries[k].append(row)
-    return ChainComplex(cells, boundaries, max_degree, indeterminate)
+    return ChainComplex(cells, boundaries, indeterminate)
 
 
 def smith_normal_form(matrix: list[list[int]]) -> list[int]:
@@ -115,22 +116,20 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     return factors
 
 
-def homology_groups(complex_: ChainComplex, up_to_degree: int) -> list[HomologyGroup]:
-    """H_k for k = 0..up_to_degree from ranks and invariant factors.
+def homology_groups(complex_: ChainComplex) -> list[HomologyGroup]:
+    """H_k for k = 0..d-1 of a complex built to degree d, from ranks and
+    invariant factors: H_k needs d_{k+1}, so the top degree gives none.
 
-    Needs boundaries through degree up_to_degree + 1.  A boundary matrix
-    with zeroed sign-indeterminate rows is acceptable one degree above the
-    last homology requested, provided its image provably equals twice the
-    kernel below it; every zeroed row lies in that sublattice, so the
-    omission is then harmless.  The proof obligation is that the invariant
-    factors of the remaining rows are exactly (2, ..., 2) with multiplicity
-    equal to the kernel rank.
+    A boundary matrix with zeroed sign-indeterminate rows is acceptable one
+    degree above the last homology answered, provided its image provably
+    equals twice the kernel below it; every zeroed row lies in that
+    sublattice, so the omission is then harmless.  The proof obligation is
+    that the invariant factors of the remaining rows are exactly (2, ..., 2)
+    with multiplicity equal to the kernel rank.
     """
-    if complex_.max_degree < up_to_degree + 1:
-        raise ValueError("complex not built deep enough")
     out = []
     rank_k = 0  # rank of d_k, carried over from the degree below
-    for k in range(up_to_degree + 1):
+    for k in range(len(complex_.cells) - 1):
         if k in complex_.indeterminate_rows:
             raise SignIndeterminateError(
                 f"cannot compute H_{k}: degree {k} has sign-indeterminate rows"

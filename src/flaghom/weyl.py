@@ -17,8 +17,8 @@ hashes, by its matrix alone.
 A `WeylGroup` starts from e and builds the elements a query reads by this
 rule, memoised in one dict ``by_matrix``.  W^Theta up to a length, the cells
 of F_Theta, is one walk up the left weak order, whose steps stay in W^Theta
-by Deodhar's lemma; it takes the step s_j*u only when j is the new element's
-smallest left descent, so it makes each element once, from its tail.
+by Deodhar's lemma (`_steps_up`); it takes the step s_j*u only when j is the
+new element's smallest left descent, so each element is made once, from u.
 Macdonald's count (`rootsys.poincare_mod2`) refuses a walk above the size
 cap (`rootsys.check_size`) before it builds anything and must equal its level
 sizes after; `_step` checks the cap as it stores each element too.  A root is
@@ -30,11 +30,11 @@ entry made on its first lookup; s_i is s_{a_i}, since a_i's pairings are row i
 of the Cartan matrix.  s_i*w reflects w's columns by s_i, and w*s_i =
 s_gamma*w, gamma = +-w(a_i), by s_gamma.
 
-The Bruhat covers of w = s_j*u, u its ``tail``, are lifted from u's: deleting
-letter 1 gives u, and letter I + 1 gives s_j*v for each cover v of u at letter
-I whose gamma' keeps u^{-1}(a_j) positive.  `cells_with_covers` walks W^Theta
-once, lifting each cell's covers from the level below.  A cover outside W^Theta
-is dropped; every other w' is looked up in the memo, never built.
+The Bruhat covers of a cell w = s_j*u, u its ``tail``, are lifted from u's:
+deleting letter 1 gives u, and letter I + 1 gives s_j*v for each cover v of u
+at letter I that `_steps_up` lets step up by s_j.  `cells_with_covers` walks
+W^Theta once, lifting each cell's covers from the level below.  A cover outside
+W^Theta is never multiplied out; every other w' is looked up in the memo.
 
 Type A one-line forms name cells in the CLI's output and feed the one-line
 cover oracle `covers_oracle_typeA`, the fourth kappa route.
@@ -174,29 +174,32 @@ class WeylGroup:
     def bruhat_covers(
         self, w: WeylElement, theta: frozenset[int] | set[int], below: list[CoveringPair]
     ) -> list[CoveringPair]:
-        """The covering pairs under w whose w' lies in W^Theta, with their unique
-        deleted positions I, lifted from ``below``, this method's pairs for
-        u = ``w.tail`` and theta ([] for e).  For w = s_j*u, I = 1 gives w' = u,
-        gamma = u^{-1}(a_j) and beta = a_j; a pair (u, v, I) of ``below`` gives
-        s_j*v at I + 1, reduced iff s_gamma'(gamma) > 0 for its gamma', and then
-        it keeps gamma' and has beta = s_j(beta').  w' = s_beta*w, and a stored
-        w' must have the inverse s_gamma*w^{-1}; each reflection is a table
-        lookup.  A w' in W^Theta has its v there too (Deodhar's lemma); a w'
-        outside is dropped, the others are looked up in ``by_matrix``, never
-        built (None if absent).  `check_theta` refuses a theta out of range."""
+        """The covering pairs under the cell w whose w' lies in W^Theta, with their
+        unique deleted positions I, lifted from ``below``, this method's pairs for
+        the cell u = ``w.tail`` and theta ([] for e).  For w = s_j*u, w is a cell
+        iff `_steps_up` allows gamma_1 = u^{-1}(a_j); else ValueError naming w.
+        I = 1 gives w' = u, gamma = gamma_1, beta = a_j; a pair (u, v, I) of
+        ``below`` gives w' = s_j*v at I + 1 iff `_steps_up` allows v^{-1}(a_j) =
+        s_gamma'(gamma_1), and then keeps gamma' and has beta = s_j(beta').  Only
+        these w' = s_beta*w are multiplied out, a table lookup per column; one in
+        ``by_matrix`` must have the inverse s_gamma*w^{-1}, one absent is None.
+        `check_theta` refuses a theta out of range."""
         theta = check_theta(theta, self.system.rank)
         if w.tail is None:
             return []
         j, positive, reflections = w.word[0], self.system.coroot_coeffs, self.reflections
+        theta_roots = {self.identity.matrix[k] for k in theta}
         s_j, gamma_1 = reflections[j], w.tail.inverse_matrix[j]
+        if not self._steps_up(gamma_1, theta_roots):
+            raise ValueError(f"w={_named(w)} is not in W^Theta")
         seen: set[Matrix] = set()
         found: list[CoveringPair] = []
         for index, beta, gamma in [(1, self.identity.matrix[j], gamma_1)] + [
                 (p.deleted_index + 1, p.beta, p.gamma) for p in below]:
             try:  # a table entry that is not a root: s_beta or s_gamma is no reflection
                 if index > 1:
-                    if reflections[gamma][gamma_1] not in positive:
-                        continue  # deleting the letter leaves a word that is not reduced
+                    if not self._steps_up(reflections[gamma][gamma_1], theta_roots):
+                        continue  # s_j*v is not reduced, or leaves W^Theta
                     beta = s_j[beta]
                 if beta not in positive:
                     raise AssertionError(f"beta of a reduced deletion is not positive "
@@ -207,8 +210,6 @@ class WeylGroup:
                     raise AssertionError(f"deleted position is not unique "
                                          f"on w={_named(w)} I={index}")
                 seen.add(matrix)
-                if not all(matrix[k] in positive for k in theta):
-                    continue  # w' is in W^Theta iff it keeps Theta's simple roots positive
                 if (w_prime := self.by_matrix.get(matrix)) is not None:
                     s = reflections[gamma]
                     if w_prime.inverse_matrix != tuple([s[col] for col in w.inverse_matrix]):
@@ -236,7 +237,8 @@ class WeylGroup:
         """W^Theta up to max_length (all of it when None), in (length, word) order.
 
         W^Theta is an order ideal of the left weak order, walked up level by level
-        from e by the steps `_steps_up` allows.  A step s_i*v is taken only when i
+        from e by the steps `_steps_up` allows on v^{-1}(a_i), the rule by which
+        `bruhat_covers` keeps its covers.  A step s_i*v is taken only when i
         is its smallest left descent, so v is its tail and each element is made
         once, from its canonical tail.  Column k < i of its inverse v^{-1}*s_i is
         v^{-1}'s own where C[i][k] = 0, else read in s_gamma's table, gamma =
@@ -262,7 +264,7 @@ class WeylGroup:
                 for v in levels[-1]:
                     # i is s_i*v's least left descent iff columns k < i of v^{-1}*s_i are > 0
                     inverse = v.inverse_matrix
-                    if (self._steps_up(inverse, i, theta_roots)
+                    if (self._steps_up(inverse[i], theta_roots)
                             and all(inverse[k] in positive for k in kept[i])):
                         s = reflections[inverse[i]]
                         if all(s[inverse[k]] in positive for k in moved[i]):
@@ -275,12 +277,11 @@ class WeylGroup:
                                  f"Macdonald's count {counts}")
         return [w for level in levels for w in level]
 
-    def _steps_up(self, inverse: Matrix, i: int, theta_roots: set[Coeffs]) -> bool:
-        """For w in W^Theta, ``inverse`` its inverse: is s_i*w one longer and in
-        W^Theta?  It is longer iff w^{-1}(a_i) > 0, and it then leaves W^Theta
-        iff w(a_k) = a_i, that is w^{-1}(a_i) = a_k, for a_k in ``theta_roots``,
-        the simple roots of Theta (Deodhar's lemma)."""
-        return inverse[i] in self.system.coroot_coeffs and inverse[i] not in theta_roots
+    def _steps_up(self, root: Coeffs, theta_roots: set[Coeffs]) -> bool:
+        """For v in W^Theta with v^{-1}(a_j) = ``root``: is s_j*v one longer and in
+        W^Theta?  Longer iff the root is positive; then out of W^Theta iff v(a_k) =
+        a_j, i.e. root = a_k, for a_k in ``theta_roots`` (Deodhar's lemma)."""
+        return root in self.system.coroot_coeffs and root not in theta_roots
 
 
 # -- type A one-line combinatorics ---------------------------------------

@@ -125,7 +125,7 @@ def top_cell(group, theta):
     theta_roots = {matrix[k] for k in theta}
     i = 0
     while i < group.system.rank:
-        if group._steps_up(inverse, i, theta_roots):
+        if group._steps_up(inverse[i], theta_roots):
             matrix, inverse = group._left_mult(i, matrix), group._right_mult(inverse, i)
             i = 0
         else:
@@ -192,8 +192,9 @@ def direct_covers(group, w, theta):
 
 
 def lifted_covers(group, w, theta):
-    """w's covers in W^Theta by `WeylGroup.bruhat_covers`, lifted along w's tail
-    chain from e, whose covers are []."""
+    """The cell w's covers in W^Theta by `WeylGroup.bruhat_covers`, lifted
+    along w's tail chain from e, whose covers are []; every tail of a cell is
+    a cell."""
     chain = [w]
     while chain[-1].tail is not None:
         chain.append(chain[-1].tail)

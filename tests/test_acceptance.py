@@ -128,7 +128,7 @@ def test_criterion_4_h1_closed_form():
             g = cached_group("A", n - 1)
             for theta in _subsets(n - 1):
                 c = build_complex(g, theta, 2)
-                h1 = homology_groups(c, 1)[1]
+                h1 = homology_groups(c)[1]
                 want = h1_h2_closed_form(n, theta)["H1"]
                 assert (h1.free_rank, h1.torsion) == (0, want.torsion)
 
@@ -141,7 +141,7 @@ def test_criterion_5_h2_closed_form():
             g = cached_group("A", n - 1)
             for theta in _subsets(n - 1):
                 c = build_complex(g, theta, 3)
-                h2 = homology_groups(c, 2)[2]
+                h2 = homology_groups(c)[2]
                 want = h1_h2_closed_form(n, theta)["H2"]
                 assert h2.free_rank == 0
                 assert (0, h2.torsion) == (want.free_rank, want.torsion)
@@ -223,7 +223,7 @@ def test_criterion_8_complex_sanity():
                             for b in range(len(rows_k1[0]) if rows_k1 else 0)
                         ]
                         assert all(x == 0 for x in composite)
-                groups = homology_groups(c, 2)
+                groups = homology_groups(c)
                 betti = poincare_mod2(g.system, theta)
                 betti += [0] * (3 - len(betti))
                 for k in (0, 1, 2):

@@ -123,7 +123,7 @@ def test_uncertified_degree_raises():
     c = build_complex(g, frozenset(), 4)
     assert 3 in c.indeterminate_rows
     with pytest.raises(SignIndeterminateError, match="degree 3"):
-        homology_groups(c, 3)
+        homology_groups(c)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4), ("D", 4), ("F", 4)])
@@ -132,7 +132,7 @@ def test_d_squared_check_refuses_each_flipped_sign(monkeypatch, family, rank):
     sign of one entry whose column meets a nonzero row of d_{k-1} raises."""
     group = cached_group(family, rank, 3)
     c = build_complex(group, frozenset(), 3)
-    homology_groups(c, 2)
+    homology_groups(c)
     signed = coeffs.coefficient
     flipped = 0
     for k in range(2, 4):
@@ -171,23 +171,24 @@ def test_build_stops_above_the_first_zeroed_degree(monkeypatch):
     c = build_complex(group, frozenset(), 10)
     assert max(lengths) == 3 and 3 in c.indeterminate_rows
     assert all(not c.cells[k] and not c.boundaries[k] for k in range(4, 11))
-    assert len(homology_groups(c, 2)) == 3  # the rows kept still certify H_2
     with pytest.raises(SignIndeterminateError, match="cannot compute H_3"):
-        homology_groups(c, 9)
+        homology_groups(c)
+    # built to degree 3, the rows kept still certify H_2
+    assert len(homology_groups(build_complex(group, frozenset(), 3))) == 3
 
 
 def test_h0_is_z():
     for family, rank in [("A", 2), ("B", 2)]:
         g = cached_group(family, rank)
         c = build_complex(g, frozenset(), 1)
-        h0 = homology_groups(c, 0)[0]
+        h0 = homology_groups(c)[0]
         assert (h0.free_rank, h0.torsion) == (1, ())
 
 
 def test_a3_full_flag_homology():
     g = cached_group("A", 3)
     c = build_complex(g, frozenset(), 3)
-    h0, h1, h2 = homology_groups(c, 2)
+    h0, h1, h2 = homology_groups(c)
     assert (h0.free_rank, h0.torsion) == (1, ())
     assert (h1.free_rank, h1.torsion) == (0, (2, 2, 2))
     assert (h2.free_rank, h2.torsion) == (0, (2, 2))
@@ -197,7 +198,7 @@ def test_a3_full_flag_homology():
     "family,rank,theta,max_degree", [("A", 3, frozenset(), 3), ("A", 4, frozenset({1, 2, 3}), 5)]
 )
 def test_homology_reduces_each_boundary_once(monkeypatch, family, rank, theta, max_degree):
-    """rank(d_{k+1}) is carried into degree k+1, so d_1 .. d_{up_to + 1} are
+    """rank(d_{k+1}) is carried into degree k+1, so d_1 .. d_max_degree are
     each reduced once, in order."""
     c = build_complex(cached_group(family, rank, max_degree), theta, max_degree)
     reduced = []
@@ -207,16 +208,20 @@ def test_homology_reduces_each_boundary_once(monkeypatch, family, rank, theta, m
         return smith_normal_form(matrix)
 
     monkeypatch.setattr("flaghom.homology.smith_normal_form", counting)
-    homology_groups(c, max_degree - 1)
+    homology_groups(c)
     assert len(reduced) == max_degree
     assert all(m is c.boundaries[k] for k, m in enumerate(reduced, start=1))
 
 
-def test_homology_requires_depth():
-    g = cached_group("A", 2)
-    c = build_complex(g, frozenset(), 2)
-    with pytest.raises(ValueError, match="not built deep enough"):
-        homology_groups(c, 2)
+@pytest.mark.parametrize("family,rank,theta,max_degree", [
+    ("A", 2, frozenset(), 1), ("A", 3, frozenset(), 3), ("B", 3, frozenset({0}), 4),
+    ("G", 2, frozenset(), 6), ("A", 4, frozenset({1, 2, 3}), 5),
+])
+def test_homology_answers_every_degree_below_the_built_one(family, rank, theta, max_degree):
+    """A complex built to degree d answers H_0 .. H_{d-1}; the top degree has
+    no d_{d+1} and so gives none."""
+    c = build_complex(cached_group(family, rank, max_degree), theta, max_degree)
+    assert len(homology_groups(c)) == max_degree
 
 
 def test_negative_degree_is_a_value_error():
@@ -228,7 +233,7 @@ def test_negative_degree_is_a_value_error():
 def _complex_and_homology(group, theta):
     c = build_complex(group, theta, 3)
     try:
-        groups = homology_groups(c, 2)
+        groups = homology_groups(c)
     except SignIndeterminateError as exc:
         groups = str(exc)
     cells = {k: [w.word for w in ws] for k, ws in c.cells.items()}
@@ -261,7 +266,7 @@ def test_closed_form_examples():
 def test_point_has_trivial_h1_h2():
     g = cached_group("A", 3)
     c = build_complex(g, frozenset({0, 1, 2}), 3)
-    _, h1, h2 = homology_groups(c, 2)
+    _, h1, h2 = homology_groups(c)
     assert (h1.free_rank, h1.torsion) == (0, ())
     assert (h2.free_rank, h2.torsion) == (0, ())
 
@@ -271,7 +276,7 @@ def test_closed_form_matches_complex(n):
     g = cached_group("A", n - 1)
     for theta in subsets(n - 1):
         c = build_complex(g, theta, 3)
-        groups = homology_groups(c, 2)
+        groups = homology_groups(c)
         closed = h1_h2_closed_form(n, theta)
         assert (groups[1].free_rank, groups[1].torsion) == (0, closed["H1"].torsion)
         if "H2" in closed:
@@ -456,7 +461,7 @@ def test_universal_coefficients_low_degrees():
         g = cached_group("A", n - 1)
         for theta in subsets(n - 1):
             c = build_complex(g, theta, 3)
-            groups = homology_groups(c, 2)
+            groups = homology_groups(c)
             betti = poincare_mod2(g.system, theta)
             betti += [0] * (3 - len(betti))
             for k in (0, 1, 2):

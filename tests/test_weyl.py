@@ -7,7 +7,7 @@ from flaghom import (
     WeylGroup, build_complex, covers_oracle_typeA, one_line, orientable_via_topcell, root_system
 )
 from flaghom.rootsys import GroupTooLargeError, RootSystem, negate, simple_root
-from flaghom.weyl import CoveringPair
+from flaghom.weyl import CoveringPair, WeylElement
 
 from conftest import (
     ORACLE_GROUPS,
@@ -398,15 +398,46 @@ def test_cover_gamma_not_matching_beta_names_w_and_i():
 def test_covers_refuse_theta_out_of_range(theta):
     """A 0-based index outside range(rank) is refused, not read as another
     simple root ({-1} as {2}) or left to fail as an IndexError ({5}).  Any
-    iterable of indices is a theta, as `check_theta` takes it."""
+    iterable of indices is a theta, as `check_theta` takes it.  w = s_1*s_3
+    is a cell of Theta = {2} (1-based), not of {3}: w(a_3) < 0."""
     g = cached_group("A", 3)
     w = element_from_word(g, (0, 2))
     below = lifted_covers(g, w.tail, frozenset())
-    for in_range in ({2}, [2], (2,), range(2, 3)):
-        assert [str(p) for p in lifted_covers(g, w, in_range)] == ["w=[1, 3] w'=[1] I=2"]
+    for in_range in ({1}, [1], (1,), range(1, 2)):
+        assert [str(p) for p in lifted_covers(g, w, in_range)] == [
+            "w=[1, 3] w'=[3] I=1", "w=[1, 3] w'=[1] I=2"]
+    with pytest.raises(ValueError, match=r"^w=\[3\] is not in W\^Theta$"):
+        lifted_covers(g, w, {2})  # the first non-cell on w's tail chain is s_3
     for cell, pairs in ((w, below), (g.identity, [])):
         with pytest.raises(ValueError, match="theta indices out of range"):
             g.bruhat_covers(cell, theta, pairs)
+
+
+class _CountedMatrix(tuple):
+    """A matrix that counts the passes over its columns."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("family,rank,theta", [
+    ("A", 2, {0}), ("A", 5, {1}), ("B", 4, {0}), ("D", 4, {1, 2}),
+])
+def test_covers_build_only_the_kept_w_primes(family, rank, theta):
+    """`_steps_up` decides each lifted candidate before its w' is built, so
+    w's matrix is read once per pair returned.  On A2 with Theta = {1}, the
+    cell s_1*s_2 lifts the candidate s_1 from its tail's cover e, but s_1 is
+    outside W^Theta, so only the pair at I = 1 is built."""
+    g = WeylGroup(root_system(family, rank))
+    walk = dict(g.cells_with_covers(theta, None))
+    for w, pairs in walk.items():
+        matrix = _CountedMatrix(w.matrix)
+        copy = WeylElement(w.word, matrix, w.inverse_matrix, w.tail, w.phi)
+        assert g.bruhat_covers(copy, theta, walk.get(w.tail, [])) == pairs
+        assert matrix.passes == len(pairs)
 
 
 @pytest.mark.parametrize("one_shot", [lambda: (k for k in [0]), lambda: iter([0])],
