@@ -24,17 +24,18 @@ cap (`rootsys.check_size`) before it builds anything and must equal its level
 sizes after; `_step` checks the cap as it stores each element too.  A root is
 positive iff the root system's table of positive roots holds it.
 
-Each product is a table lookup per column (Casselman): a group keeps one
-`Reflection` table per positive root b, built from b's coroot pairings, each
-entry made on its first lookup; s_i is s_{a_i}, since a_i's pairings are row i
-of the Cartan matrix.  s_i*w reflects w's columns by s_i, and w*s_i =
-s_gamma*w, gamma = +-w(a_i), by s_gamma.
+Each product s*w is one call, `Reflection.times`, a table lookup per column
+(Casselman): a group keeps one `Reflection` table per positive root b, built
+from b's coroot pairings and keyed by the root tuples b and -b, each entry made
+on its first lookup; s_i is s_{a_i}, since a_i's pairings are row i of the
+Cartan matrix, and w*s_i is s_gamma*w, gamma = +-w(a_i).
 
 The Bruhat covers of a cell w = s_j*u, u its ``tail``, are lifted from u's:
 deleting letter 1 gives u, and letter I + 1 gives s_j*v for each cover v of u
 at letter I that `_steps_up` lets step up by s_j.  `cells_with_covers` walks
 W^Theta once, lifting each cell's covers from the level below.  A cover outside
-W^Theta is never multiplied out; every other w' is looked up in the memo.
+W^Theta is never multiplied out; every other w' = s_beta*w is, and one found in
+the memo must have the inverse s_gamma*w^{-1}: two products a pair.
 
 Type A one-line forms name cells in the CLI's output and feed the one-line
 cover oracle `covers_oracle_typeA`, the fourth kappa route.
@@ -95,10 +96,10 @@ class CoveringPair(Record):
 
 
 class Reflection(dict):
-    """The reflection x -> x - <x, b^v> b as a table from each root to the
-    system's own tuple of its image, ``pairing`` listing the <a_k, b^v>.  An
-    entry is made on its first lookup, so a walk of high rank that touches few
-    roots does not fill every table.  KeyError for an image that is not a root."""
+    """The reflection s: x -> x - <x, b^v> b as a table from each root to the
+    system's own tuple of its image, ``pairing`` listing the <a_k, b^v>; KeyError
+    for an image that is not a root.  An entry is made on its first lookup, so a
+    walk of high rank that touches few roots does not fill every table."""
 
     __slots__ = ("roots", "root", "pairing")
 
@@ -113,6 +114,10 @@ class Reflection(dict):
             image = self.roots[x]
         self[x] = image
         return image
+
+    def times(self, matrix: Matrix) -> Matrix:
+        """The matrix of s*w for w with columns ``matrix``: every product is one call."""
+        return tuple([self[col] for col in matrix])
 
 
 class WeylGroup:
@@ -129,11 +134,10 @@ class WeylGroup:
         matrix: Matrix = tuple(system.roots[simple_root(n, i)] for i in range(n))
         self.identity = WeylElement((), matrix, matrix, None, (0,) * n)
         self.by_matrix: dict[Matrix, WeylElement] = {matrix: self.identity}
-        # s_b from b's coroot pairings, keyed by b and -b; s_i is s_{a_i}, keyed by i too
+        # s_b from b's coroot pairings, keyed by b and -b; s_i is s_{a_i}
         roots, self.reflections = system.roots, {}
         for b, pairing in system.coroot_pairings.items():
             self.reflections[b] = self.reflections[roots[negate(b)]] = Reflection(roots, b, pairing)
-        self.reflections.update({i: self.reflections[a] for i, a in enumerate(matrix)})
 
     @property
     def elements(self):
@@ -142,24 +146,11 @@ class WeylGroup:
 
     # -- construction -----------------------------------------------------
 
-    def _right_mult(self, matrix: Matrix, i: int) -> Matrix:
-        """Matrix of w*s_i = s_gamma*w, gamma = +-w(a_i) (s_-gamma = s_gamma):
-        s_gamma's table applied to every column.  For w = v^{-1} it gives the
-        inverse of s_i*v.  KeyError for a column that is not a root."""
-        s = self.reflections[matrix[i]]
-        return tuple([s[col] for col in matrix])
-
-    def _left_mult(self, i: int, matrix: Matrix) -> Matrix:
-        """Matrix of s_i*w: the table of s_i = s_{a_i} applied to every column.
-        KeyError for a column that is not a root."""
-        s = self.reflections[i]
-        return tuple([s[col] for col in matrix])
-
     def _step(self, i: int, tail: WeylElement, inverse: Matrix) -> WeylElement:
-        """s_i*tail, memoised, for i its smallest left descent and ``inverse``
-        its inverse matrix: its canonical word is i followed by tail's, and
-        phi(s_i*tail) = a_i + s_i(phi(tail)) moves coordinate i only."""
-        matrix = self._left_mult(i, tail.matrix)
+        """s_i*tail by s_{a_i}'s table, memoised, for i its smallest left descent and
+        ``inverse`` its inverse matrix: its canonical word is i followed by tail's,
+        and phi(s_i*tail) = a_i + s_i(phi(tail)) moves coordinate i only."""
+        matrix = self.reflections[self.identity.matrix[i]].times(tail.matrix)
         if (w := self.by_matrix.get(matrix)) is None:
             phi = tail.phi
             phi_i = phi[i] + 1 - sum(c * phi[k] for k, c in self._moved[i])
@@ -180,8 +171,8 @@ class WeylGroup:
         iff `_steps_up` allows gamma_1 = u^{-1}(a_j); else ValueError naming w.
         I = 1 gives w' = u, gamma = gamma_1, beta = a_j; a pair (u, v, I) of
         ``below`` gives w' = s_j*v at I + 1 iff `_steps_up` allows v^{-1}(a_j) =
-        s_gamma'(gamma_1), and then keeps gamma' and has beta = s_j(beta').  Only
-        these w' = s_beta*w are multiplied out, a table lookup per column; one in
+        s_gamma'(gamma_1), and then keeps gamma' and has beta = s_j(beta'), s_j the
+        table of a_j.  Only these w' = s_beta*w are multiplied out; one in
         ``by_matrix`` must have the inverse s_gamma*w^{-1}, one absent is None.
         `check_theta` refuses a theta out of range."""
         theta = check_theta(theta, self.system.rank)
@@ -189,7 +180,7 @@ class WeylGroup:
             return []
         j, positive, reflections = w.word[0], self.system.coroot_coeffs, self.reflections
         theta_roots = {self.identity.matrix[k] for k in theta}
-        s_j, gamma_1 = reflections[j], w.tail.inverse_matrix[j]
+        s_j, gamma_1 = reflections[self.identity.matrix[j]], w.tail.inverse_matrix[j]
         if not self._steps_up(gamma_1, theta_roots):
             raise ValueError(f"w={_named(w)} is not in W^Theta")
         seen: set[Matrix] = set()
@@ -204,15 +195,13 @@ class WeylGroup:
                 if beta not in positive:
                     raise AssertionError(f"beta of a reduced deletion is not positive "
                                          f"on w={_named(w)} I={index}")
-                s = reflections[beta]
-                matrix = tuple([s[col] for col in w.matrix])
+                matrix = reflections[beta].times(w.matrix)
                 if matrix in seen:
                     raise AssertionError(f"deleted position is not unique "
                                          f"on w={_named(w)} I={index}")
                 seen.add(matrix)
                 if (w_prime := self.by_matrix.get(matrix)) is not None:
-                    s = reflections[gamma]
-                    if w_prime.inverse_matrix != tuple([s[col] for col in w.inverse_matrix]):
+                    if w_prime.inverse_matrix != reflections[gamma].times(w.inverse_matrix):
                         raise AssertionError(f"w' = s_beta*w is not w*s_gamma "
                                              f"on w={_named(w)} I={index}")
             except KeyError:
@@ -240,9 +229,10 @@ class WeylGroup:
         from e by the steps `_steps_up` allows on v^{-1}(a_i), the rule by which
         `bruhat_covers` keeps its covers.  A step s_i*v is taken only when i
         is its smallest left descent, so v is its tail and each element is made
-        once, from its canonical tail.  Column k < i of its inverse v^{-1}*s_i is
-        v^{-1}'s own where C[i][k] = 0, else read in s_gamma's table, gamma =
-        v^{-1}(a_i), so the product is built once per element.  Taking i in
+        once, from its canonical tail.  Column k < i of its inverse v^{-1}*s_i =
+        s_gamma*v^{-1}, gamma = v^{-1}(a_i), is v^{-1}'s own where C[i][k] = 0,
+        else read in s_gamma's table, which then multiplies out only the steps
+        taken: with `_step`'s s_i*v, two products per element.  Taking i in
         ascending order and v in the previous level's order makes each level in word
         order.  Macdonald's count refuses a walk above the size cap before anything
         is built, and must equal the size of every level the walk finds.
@@ -268,7 +258,7 @@ class WeylGroup:
                             and all(inverse[k] in positive for k in kept[i])):
                         s = reflections[inverse[i]]
                         if all(s[inverse[k]] in positive for k in moved[i]):
-                            level.append(self._step(i, v, self._right_mult(inverse, i)))
+                            level.append(self._step(i, v, s.times(inverse)))
             if not level:
                 break
             levels.append(level)

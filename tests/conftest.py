@@ -42,11 +42,23 @@ def in_quotient(matrix, theta):
     return all(is_positive(matrix[k]) for k in theta)
 
 
+def left_times(group, i, matrix):
+    """s_i*w through the group's table of s_i = s_{a_i} (KeyError for a column
+    that is not a root)."""
+    return group.reflections[group.identity.matrix[i]].times(matrix)
+
+
+def right_times(group, matrix, i):
+    """w*s_i = s_gamma*w, gamma = +-w(a_i), through the group's table of s_gamma
+    (KeyError for a column that is not a root)."""
+    return group.reflections[matrix[i]].times(matrix)
+
+
 def right_mult(group, matrix, i):
     """Oracle: the matrix of w*s_i by the dense rule, column j becoming
     col_j - C[i][j]*col_i, each the root system's own tuple (KeyError if it
     is not a root).  It reads the Cartan matrix alone, not the coroot
-    pairings that `WeylGroup._right_mult` reflects by."""
+    pairings that the group's reflection tables reflect by."""
     row, roots = group.system.cartan.cartan_matrix[i], group.system.roots
     return tuple(roots[tuple(a - c * b for a, b in zip(col, matrix[i]))]
                  for col, c in zip(matrix, row))
@@ -70,7 +82,7 @@ def build(group, matrix, inverse):
         if j is None or len(chain) > len(group.system.positive_roots):
             raise AssertionError(f"matrix {chain[0][1]} is not an element of W")
         try:  # a product with a column that is not a root
-            matrix, inverse = group._left_mult(j, matrix), right_mult(group, inverse, j)
+            matrix, inverse = left_times(group, j, matrix), right_mult(group, inverse, j)
         except KeyError:
             raise AssertionError(f"matrix {chain[0][1]} is not an element of W") from None
     for j, matrix, inverse in reversed(chain):
@@ -98,10 +110,10 @@ def enumerated(family: str, rank: int, max_length: int | None = None):
         for w in level:
             for i in range(rank):
                 if is_positive(w.matrix[i]):  # l(w*s_i) = l(w)+1
-                    m = group._right_mult(w.matrix, i)
+                    m = right_times(group, w.matrix, i)
                     if m not in group.by_matrix:
                         # the inverse of w*s_i is s_i*w^{-1}
-                        nxt.append(build(group, m, group._left_mult(i, w.inverse_matrix)))
+                        nxt.append(build(group, m, left_times(group, i, w.inverse_matrix)))
         found += nxt
         level = nxt
     return tuple(sorted(found, key=lambda w: (w.length, w.word)))
@@ -126,7 +138,7 @@ def top_cell(group, theta):
     i = 0
     while i < group.system.rank:
         if group._steps_up(inverse[i], theta_roots):
-            matrix, inverse = group._left_mult(i, matrix), group._right_mult(inverse, i)
+            matrix, inverse = left_times(group, i, matrix), right_times(group, inverse, i)
             i = 0
         else:
             i += 1
@@ -139,7 +151,7 @@ def element_from_word(group, word):
     matrix = inverse = group.identity.matrix
     for i in word:
         # w*s_i, and its inverse s_i*w^{-1}
-        matrix, inverse = right_mult(group, matrix, i), group._left_mult(i, inverse)
+        matrix, inverse = right_mult(group, matrix, i), left_times(group, i, inverse)
     return build(group, matrix, inverse)
 
 
@@ -210,7 +222,7 @@ def inversion_set_of_word(group, word):
     roots, prefix = [], group.identity.matrix
     for i in word:
         roots.append(prefix[i])
-        prefix = group._right_mult(prefix, i)
+        prefix = right_times(group, prefix, i)
     return roots
 
 
@@ -219,7 +231,7 @@ def descent_chain(group, w):
     chain of its canonical word, which is all that building w stores."""
     chain, m = {w.matrix}, w.matrix
     for i in w.word:
-        m = group._left_mult(i, m)
+        m = left_times(group, i, m)
         chain.add(m)
     return chain
 
@@ -244,7 +256,7 @@ def is_reduced(group, word):
     for i in word:
         if not is_positive(m[i]):
             return False
-        m = group._right_mult(m, i)
+        m = right_times(group, m, i)
     return True
 
 

@@ -14,6 +14,7 @@ import flaghom.cli
 import flaghom.coeffs
 from flaghom import HomologyGroup, WeylGroup, poincare_mod2, root_system
 from flaghom.cli import COMMANDS, main
+from flaghom.weyl import Reflection
 
 from conftest import CHILD_ENV, ORACLE_GROUPS, WEYL_GROUP_ORDERS, orientable_by_root_sum
 
@@ -481,7 +482,7 @@ def test_e7_refused_before_enumeration(capsys, monkeypatch, command):
     def refuse(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(WeylGroup, "_right_mult", refuse)
+    monkeypatch.setattr(Reflection, "times", refuse)
     err = _one_line_error(capsys, [command, "E", "7"], 2)
     assert err == "flaghom: error: too large: 2903040 elements, more than 1000000\n"
 
@@ -519,7 +520,7 @@ def test_e8_query_refused_before_building(capsys, monkeypatch):
         raise AssertionError("an element was built")
 
     monkeypatch.setattr(WeylGroup, "_step", refuse)
-    monkeypatch.setattr(WeylGroup, "_left_mult", refuse)
+    monkeypatch.setattr(Reflection, "times", refuse)
     err = _one_line_error(capsys, ["coeffs", "E", "8", "--max-degree", "19"], 2)
     assert err == "flaghom: error: too large: 1080949 elements, more than 1000000\n"
 

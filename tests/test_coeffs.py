@@ -15,7 +15,7 @@ from flaghom import (
     one_line,
 )
 from flaghom.rootsys import RootSystem, height, simple_root
-from flaghom.weyl import CoveringPair
+from flaghom.weyl import CoveringPair, Reflection
 
 from conftest import (
     ORACLE_GROUPS,
@@ -296,8 +296,7 @@ def test_routes_rebuild_no_inversion_set(monkeypatch):
     def refuse(*args):
         raise AssertionError("a kappa route multiplied out a word")
 
-    monkeypatch.setattr(WeylGroup, "_right_mult", refuse)
-    monkeypatch.setattr(WeylGroup, "_left_mult", refuse)
+    monkeypatch.setattr(Reflection, "times", refuse)
     for pair in pairs:
         kappa_via_sigma(g, pair)
         kappa_via_phi(g, pair)

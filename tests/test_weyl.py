@@ -7,7 +7,7 @@ from flaghom import (
     WeylGroup, build_complex, covers_oracle_typeA, one_line, orientable_via_topcell, root_system
 )
 from flaghom.rootsys import GroupTooLargeError, RootSystem, negate, simple_root
-from flaghom.weyl import CoveringPair, WeylElement
+from flaghom.weyl import CoveringPair, Reflection, WeylElement
 
 from conftest import (
     ORACLE_GROUPS,
@@ -29,10 +29,12 @@ from conftest import (
     inversion_set_of_word,
     is_positive,
     is_reduced,
+    left_times,
     lehmer_code,
     lifted_covers,
     phi_by_word,
     reflect,
+    right_times,
     scan_representatives,
     top_cell,
 )
@@ -105,8 +107,8 @@ def _peeled_word(g, w):
         # i is a left descent iff w^{-1}(a_i) < 0
         i = next(j for j in range(g.system.rank) if not is_positive(minv[j]))
         word.append(i)
-        m = g._left_mult(i, m)
-        minv = g._right_mult(minv, i)
+        m = left_times(g, i, m)
+        minv = right_times(g, minv, i)
     return tuple(word)
 
 
@@ -352,19 +354,34 @@ def _covers_by_subwords(g, w):
     return sorted(found.values(), key=lambda pair: pair[1])
 
 
+def _count_products(monkeypatch):
+    """Record every later call of `Reflection.times`, the one product, as
+    (table, matrix) in call order."""
+    times, calls = Reflection.times, []
+
+    def counted(table, matrix):
+        calls.append((table, matrix))
+        return times(table, matrix)
+
+    monkeypatch.setattr(Reflection, "times", counted)
+    return calls
+
+
 def test_covers_multiply_out_no_word(monkeypatch):
-    """On a warm memo every w' is stored already, so covers read gamma off
-    the tail chain and never multiply a matrix by a simple reflection."""
+    """On a warm memo every w' is stored already, so covers add no element
+    and make exactly two products per pair kept: w' = s_beta*w, and its
+    inverse s_gamma*w^{-1} checked against the stored one."""
     g = cached_group("B", 3)
-    expected = {w: lifted_covers(g, w, frozenset()) for w in list(g.elements)}
-
-    def refuse(*args):
-        raise AssertionError("bruhat_covers multiplied out a word")
-
-    monkeypatch.setattr(WeylGroup, "_right_mult", refuse)
-    monkeypatch.setattr(WeylGroup, "_left_mult", refuse)
+    expected = dict(g.cells_with_covers(frozenset(), None))
+    stored = dict(g.by_matrix)
+    calls = _count_products(monkeypatch)
     for w, pairs in expected.items():
-        assert lifted_covers(g, w, frozenset()) == pairs
+        calls.clear()
+        assert g.bruhat_covers(w, frozenset(), expected.get(w.tail, [])) == pairs
+        assert len(calls) == 2 * len(pairs)
+        assert [table.root for table, _ in calls] == [
+            root for p in pairs for root in (p.beta, g.reflections[p.gamma].root)]
+    assert g.by_matrix == stored
 
 
 def test_cover_beta_not_positive_names_w_and_i():
@@ -621,23 +638,19 @@ def test_walk_matches_scan_of_w(family, rank, max_length):
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
 def test_walk_makes_each_element_once_from_its_tail(family, rank, monkeypatch):
-    """The walk multiplies each element of W^Theta out once: `_left_mult` runs
-    exactly as often as the memo gains an element, and each new element keeps
-    the stored tail it was made from, its word that tail's with one letter
-    in front."""
-    left_mult, calls = WeylGroup._left_mult, []
-
-    def counted(self, i, matrix):
-        calls.append(i)
-        return left_mult(self, i, matrix)
-
-    monkeypatch.setattr(WeylGroup, "_left_mult", counted)
+    """The walk multiplies each element of W^Theta out once: it makes two
+    products, s_i*v and its inverse, exactly as often as the memo gains an
+    element, and each new element keeps the stored tail it was made from, its
+    word that tail's with one letter in front."""
+    calls = _count_products(monkeypatch)
     system = root_system(family, rank)
     for theta in _subsets(rank):
         g = WeylGroup(system)
         calls.clear()
         reps = g.minimal_representatives(theta)
-        assert len(calls) == len(g.by_matrix) - 1 == len(reps) - 1
+        assert len(calls) == 2 * (len(g.by_matrix) - 1) == 2 * (len(reps) - 1)
+        assert [m for _, m in calls] == [
+            m for w in reps[1:] for m in (w.tail.inverse_matrix, w.tail.matrix)]
         for w in reps[1:]:
             assert g.by_matrix[w.tail.matrix] is w.tail
             assert w.word == (w.word[0],) + w.tail.word
@@ -647,31 +660,48 @@ def test_walk_makes_each_element_once_from_its_tail(family, rank, monkeypatch):
 def test_walk_multiplies_only_steps_its_kept_columns_allow(family, rank, monkeypatch):
     """v^{-1}*s_i keeps v^{-1}'s column k wherever C[i][k] = 0, so a step
     s_i*v whose kept column k < i is negative has a smaller left descent and
-    is refused before the product is built: every `_right_mult` the walk
-    makes has v^{-1}(a_k) > 0 for each k < i not adjacent to i.  The other
-    columns k < i are read through s_gamma's table, gamma = v^{-1}(a_i), so
-    the walk multiplies only the steps it takes, one per element besides e:
-    W(A5) takes 719 products for its 720 elements, against 975 when each step
-    that passed the kept columns was multiplied, and 1,800 when each step up
-    was."""
-    right_mult, calls = WeylGroup._right_mult, []
-
-    def recorded(self, matrix, i):
-        calls.append((matrix, i))
-        return right_mult(self, matrix, i)
-
-    monkeypatch.setattr(WeylGroup, "_right_mult", recorded)
+    is refused before the product is built: every inverse v^{-1}*s_i =
+    s_gamma*v^{-1}, gamma = v^{-1}(a_i), that the walk multiplies out has
+    v^{-1}(a_k) > 0 for each k < i not adjacent to i, and is followed by the
+    step's s_i*v.  The other columns k < i are read through s_gamma's table,
+    so the walk multiplies only the steps it takes, one inverse per element
+    besides e: W(A5) takes 719 inverses for its 720 elements, against 975
+    when each step that passed the kept columns was multiplied, and 1,800
+    when each step up was."""
+    calls = _count_products(monkeypatch)
     system = root_system(family, rank)
     C = system.cartan.cartan_matrix
     for theta in _subsets(rank):
+        g = WeylGroup(system)
         calls.clear()
-        reps = WeylGroup(system).minimal_representatives(theta)
-        for inverse, i in calls:
+        reps = g.minimal_representatives(theta)
+        for (s_gamma, inverse), (s_i, _) in zip(calls[::2], calls[1::2]):
+            i = g.identity.matrix.index(s_i.root)
+            assert s_gamma.root == inverse[i]
             assert all(is_positive(inverse[k]) for k in range(i) if C[i][k] == 0)
-        assert len(calls) == len(reps) - 1
+        assert len(calls) == 2 * (len(reps) - 1)
     calls.clear()
     assert len(WeylGroup(root_system("A", 5)).minimal_representatives(set())) == 720
-    assert len(calls) == 719
+    assert len(calls) == 2 * 719
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+def test_walk_and_covers_make_two_products_per_element_and_pair(family, rank, monkeypatch):
+    """Every product goes through `Reflection.times`: `cells_with_covers` makes
+    two per element of W^Theta besides e (s_i*v and its inverse) and two per
+    cover kept (w' = s_beta*w and the check of its inverse s_gamma*w^{-1})."""
+    calls = _count_products(monkeypatch)
+    system = root_system(family, rank)
+    for theta in _subsets(rank):
+        calls.clear()
+        cells = list(WeylGroup(system).cells_with_covers(theta, None))
+        pairs = sum(len(found) for _, found in cells)
+        assert len(calls) == 2 * (len(cells) - 1) + 2 * pairs
+    # the A5 full flag, and Theta = {2} (1-based) of A5
+    for theta, products in [(frozenset(), 8854), (frozenset({1}), 3730)]:
+        calls.clear()
+        list(WeylGroup(root_system("A", 5)).cells_with_covers(theta, None))
+        assert len(calls) == products
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
@@ -686,8 +716,8 @@ def test_simple_products_match_dense_rules(family, rank):
             dense = tuple(
                 tuple(m[j][k] - C[i][j] * m[i][k] for k in range(rank)) for j in range(rank)
             )
-            assert g._right_mult(m, i) == dense
-            assert g._left_mult(i, m) == tuple(reflect(g.system, i, col) for col in m)
+            assert right_times(g, m, i) == dense
+            assert left_times(g, i, m) == tuple(reflect(g.system, i, col) for col in m)
 
 
 def _reflect_root(system, alpha, beta):
@@ -708,7 +738,7 @@ def test_reflection_tables_match_two_oracles(family, rank):
     roots = g.system.roots
     for x in roots:
         for i in range(rank):
-            image = g.reflections[i][x]
+            image = g.reflections[g.identity.matrix[i]][x]
             assert image == reflect(g.system, i, x) and roots[image] is image
         for b in g.system.positive_roots:
             image = g.reflections[b][x]
@@ -717,15 +747,16 @@ def test_reflection_tables_match_two_oracles(family, rank):
 
 
 def test_full_flag_walk_keeps_one_table_per_reflection():
-    """s_i is keyed to the table of a_i, so the A5 walk with covers reads at
-    most |Phi+| = 15 tables, one per reflection however it is keyed, each
-    holding at most the 2|Phi+| = 30 roots."""
+    """s_i is the table of a_i, and each table is keyed by the root tuples b and
+    -b alone, so the A5 walk with covers reads |Phi+| = 15 tables under
+    2|Phi+| = 30 keys, each table holding at most the 30 roots."""
     g = WeylGroup(root_system("A", 5))
     assert sum(len(pairs) for _, pairs in g.cells_with_covers(frozenset(), None)) > 0
     roots = g.system.roots
-    assert all(g.reflections[i] is g.reflections[g.identity.matrix[i]] for i in range(5))
+    assert len(g.reflections) == 2 * len(g.system.positive_roots) == len(roots)
+    assert all(type(key) is tuple and key in roots for key in g.reflections)
     tables = {id(t): t for t in g.reflections.values()}
-    assert len(tables) <= 15 and len(g.reflections) == 5 + len(roots)
+    assert len(tables) == 15
     for table in tables.values():
         assert table and len(table) <= 30
         assert all(roots[x] is x and roots[y] is y for x, y in table.items())
@@ -737,8 +768,9 @@ def test_products_refuse_a_column_that_is_not_a_root():
     g = WeylGroup(root_system("A", 2))
     a1, a2 = g.identity.matrix
     two = tuple(2 * x for x in a1)
-    for product in (lambda: g._left_mult(0, (two, a2)), lambda: g._right_mult((two, a2), 0),
-                    lambda: g._right_mult((a2, two), 0)):
+    for product in (lambda: g.reflections[a1].times((two, a2)),
+                    lambda: g.reflections[two].times((two, a2)),
+                    lambda: g.reflections[a2].times((a2, two))):
         with pytest.raises(KeyError):
             product()
 
